@@ -21,7 +21,7 @@ preserves every implemented identity while keeping the algebra finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .field_modes import (
     regulator_weights,
     vector_potential_coeffs,
 )
-from .operator_algebra import OperatorPolynomial, commutator, is_central
+from .operator_algebra import PRUNE_TOL, OperatorPolynomial
 from .units import NATURAL, UnitSystem
 
 __all__ = [
@@ -173,19 +173,49 @@ def _require_matching_units(config: DipoleConfig, lattice: ModeLattice) -> None:
         )
 
 
+def _pruned(arr: np.ndarray) -> np.ndarray:
+    # the same cut OperatorPolynomial applies to every coefficient it stores
+    return np.where(np.abs(arr) > PRUNE_TOL, arr, 0.0)
+
+
 def _degree_one_from_arrays(ann: np.ndarray, cre: np.ndarray) -> OperatorPolynomial:
     # raveling (M, 3) arrays in C order realizes the 3*k + channel convention
-    flat_ann = ann.ravel()
-    flat_cre = cre.ravel()
-    ann_map = {int(i): flat_ann[i] for i in np.flatnonzero(np.abs(flat_ann) > 1e-14)}
-    cre_map = {int(i): flat_cre[i] for i in np.flatnonzero(np.abs(flat_cre) > 1e-14)}
+    flat_ann, flat_cre = _pruned(ann).ravel(), _pruned(cre).ravel()
+    ann_map = {int(i): flat_ann[i] for i in np.flatnonzero(flat_ann)}
+    cre_map = {int(i): flat_cre[i] for i in np.flatnonzero(flat_cre)}
     return OperatorPolynomial.degree_one(ann_map, cre_map)
 
 
-def _contracted_coeffs(coeffs, moment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ann = np.einsum("j,kjm->km", moment, coeffs.ann)
-    cre = np.einsum("j,kjm->km", moment, coeffs.cre)
-    return ann, cre
+def _dipole_form(config: DipoleConfig, lattice: ModeLattice, field_coeffs, phase):
+    """(M, 3) ann/cre arrays of (phase / hbar) sum_q d_q . F(R_q)."""
+    if len(config) == 0:
+        raise ValueError("cannot build a generator from an empty dipole config")
+    _require_matching_units(config, lattice)
+    ann = cre = 0.0
+    for dip in config.dipoles:
+        coeffs = field_coeffs(lattice, dip.position)
+        ann = ann + np.einsum("j,kjm->km", dip.moment, coeffs.ann)
+        cre = cre + np.einsum("j,kjm->km", dip.moment, coeffs.cre)
+    scale = phase / config.units.hbar
+    return scale * ann, scale * cre
+
+
+def _field_form(lattice: ModeLattice, r, sigma: float):
+    """(M, 3, 3) ann/cre arrays of the regulated E(r), [mode, component, channel]."""
+    coeffs = electric_field_coeffs(lattice, r)
+    weights = regulator_weights(lattice, sigma)[:, None, None]
+    return weights * coeffs.ann, weights * coeffs.cre
+
+
+def _require_anti_hermitian(ann: np.ndarray, cre: np.ndarray) -> None:
+    """Raise ArithmeticError unless cre = -conj(ann) to 1e-12 of the largest entry."""
+    deviation = float(np.max(np.abs(cre + np.conj(ann)), initial=0.0))
+    scale = float(np.max(np.abs(ann), initial=0.0))
+    if deviation > 1e-12 * scale:
+        raise ArithmeticError(
+            f"gauge exponent is not anti-Hermitian: max |cre + conj(ann)| = "
+            f"{deviation:.3e} against largest coefficient {scale:.3e}"
+        )
 
 
 def build_gm_generator(config: DipoleConfig, lattice: ModeLattice) -> OperatorPolynomial:
@@ -195,18 +225,9 @@ def build_gm_generator(config: DipoleConfig, lattice: ModeLattice) -> OperatorPo
     anti-Hermitian coefficient pattern (creation coefficient equals minus the
     conjugate of its annihilation partner).
     """
-    if len(config) == 0:
-        raise ValueError("cannot build a generator from an empty dipole config")
-    _require_matching_units(config, lattice)
-    ann = np.zeros((lattice.num_modes, 3), dtype=complex)
-    cre = np.zeros((lattice.num_modes, 3), dtype=complex)
-    for dip in config.dipoles:
-        coeffs = vector_potential_coeffs(lattice, dip.position)
-        part_ann, part_cre = _contracted_coeffs(coeffs, dip.moment)
-        ann += part_ann
-        cre += part_cre
-    scale = -1j / config.units.hbar
-    return _degree_one_from_arrays(scale * ann, scale * cre)
+    return _degree_one_from_arrays(
+        *_dipole_form(config, lattice, vector_potential_coeffs, -1j)
+    )
 
 
 def build_y_generator(config: DipoleConfig, lattice: ModeLattice) -> OperatorPolynomial:
@@ -216,18 +237,9 @@ def build_y_generator(config: DipoleConfig, lattice: ModeLattice) -> OperatorPol
     coefficient of -X, since the electric field is minus the time derivative
     of the vector potential.
     """
-    if len(config) == 0:
-        raise ValueError("cannot build a generator from an empty dipole config")
-    _require_matching_units(config, lattice)
-    ann = np.zeros((lattice.num_modes, 3), dtype=complex)
-    cre = np.zeros((lattice.num_modes, 3), dtype=complex)
-    for dip in config.dipoles:
-        coeffs = electric_field_coeffs(lattice, dip.position)
-        part_ann, part_cre = _contracted_coeffs(coeffs, dip.moment)
-        ann += part_ann
-        cre += part_cre
-    scale = 1j / config.units.hbar
-    return _degree_one_from_arrays(scale * ann, scale * cre)
+    return _degree_one_from_arrays(
+        *_dipole_form(config, lattice, electric_field_coeffs, 1j)
+    )
 
 
 def field_component_generator(
@@ -241,11 +253,8 @@ def field_component_generator(
     """
     if component not in (0, 1, 2):
         raise ValueError(f"component must be 0, 1 or 2, got {component}")
-    coeffs = electric_field_coeffs(lattice, r)
-    weights = regulator_weights(lattice, sigma)
-    ann = weights[:, None] * coeffs.ann[:, component, :]
-    cre = weights[:, None] * coeffs.cre[:, component, :]
-    return _degree_one_from_arrays(ann, cre)
+    ann, cre = _field_form(lattice, r, sigma)
+    return _degree_one_from_arrays(ann[:, component], cre[:, component])
 
 
 def epsilon_dip(R, d, dp, units: UnitSystem = NATURAL) -> float:
@@ -354,53 +363,50 @@ def epsilon_self_regularized(d, lattice: ModeLattice, sigma: float) -> float:
     return float(-0.5 / (u.epsilon0 * lattice.volume) * np.sum(weights * transverse_dd))
 
 
-def field_shift(config: DipoleConfig, R) -> np.ndarray:
-    """Classical field sum_q e_dip_field(R - R_q, d_q) separating the two pictures.
-
-    This is the c-number by which the untransformed electric-field operator
-    exceeds the transformed one at R.
-    """
-    R = as_vec3(R, "R")
-    total = np.zeros(3)
-    for idx, dip in enumerate(config.dipoles):
-        offset = R - dip.position
-        if float(np.linalg.norm(offset)) == 0.0:
-            raise DegenerateSeparationError(
-                f"field point {R} coincides with dipole {idx}"
-            )
-        total += e_dip_field(offset, dip.moment, config.units)
-    return total
-
-
-def field_shift_from_commutator(
-    config: DipoleConfig, lattice: ModeLattice, R, sigma: float
-) -> np.ndarray:
-    """Mode-sum route to :func:`field_shift` via the operator algebra.
-
-    Commuting the gauge exponent with each regulated field component gives the
-    central scalar (transformed minus original) component, so the shift is its
-    negation.  Agreement with the closed form holds in the same validity
-    window as the commutator kernel itself.
-    """
-    _require_matching_units(config, lattice)
+def _field_point(config: DipoleConfig, R) -> np.ndarray:
     R = as_vec3(R, "R")
     for idx, dip in enumerate(config.dipoles):
         if float(np.linalg.norm(R - dip.position)) == 0.0:
             raise DegenerateSeparationError(
                 f"field point {R} coincides with dipole {idx}"
             )
-    exponent = build_gm_generator(config, lattice)
-    shift = np.zeros(3)
-    for component in range(3):
-        field_gen = field_component_generator(lattice, R, component, sigma)
-        central = commutator(exponent, field_gen)
-        if not is_central(central):
-            raise ArithmeticError(
-                "commutator of the gauge exponent with a field component "
-                "should be a pure scalar; generator construction is inconsistent"
-            )
-        shift[component] = -central.scalar_part.real
-    return shift
+    return R
+
+
+def field_shift(config: DipoleConfig, R) -> np.ndarray:
+    """Classical field sum_q e_dip_field(R - R_q, d_q) separating the two pictures.
+
+    This is the c-number by which the untransformed electric-field operator
+    exceeds the transformed one at R.
+    """
+    R = _field_point(config, R)
+    total = np.zeros(3)
+    for dip in config.dipoles:
+        total += e_dip_field(R - dip.position, dip.moment, config.units)
+    return total
+
+
+def field_shift_from_commutator(
+    config: DipoleConfig, lattice: ModeLattice, R, sigma: float
+) -> np.ndarray:
+    """Mode-sum route to :func:`field_shift` via the gauge-exponent commutator.
+
+    X and E_j(R) are degree-1, so [X, E_j(R)] is the c-number
+    sum(x_ann * f_cre) - sum(x_cre * f_ann) over the lattice channels, the
+    transformed minus the original component; the shift is its negation.
+    Operands and result are cut at ``PRUNE_TOL`` as in the dict route
+    commutator(build_gm_generator, field_component_generator).  Raises
+    ArithmeticError if X is not anti-Hermitian.  Agreement with the closed
+    form holds in the same validity window as the commutator kernel itself.
+    """
+    _require_matching_units(config, lattice)
+    R = _field_point(config, R)
+    x_ann, x_cre = _dipole_form(config, lattice, vector_potential_coeffs, -1j)
+    _require_anti_hermitian(x_ann, x_cre)
+    x_ann, x_cre = map(_pruned, (x_ann, x_cre))
+    f_ann, f_cre = map(_pruned, _field_form(lattice, R, sigma))
+    comm = np.einsum("km,kjm->j", x_ann, f_cre) - np.einsum("km,kjm->j", x_cre, f_ann)
+    return -_pruned(comm).real
 
 
 def transform_report(
@@ -415,11 +421,4 @@ def transform_report(
         epsilon_self_regularized(dip.moment, lattice, sigma)
         for dip in config.dipoles
     )
-    return TransformReport(
-        pair_energies=base.pair_energies,
-        total_interaction=base.total_interaction,
-        self_energy=float(self_energy),
-        regulator_sigma=float(sigma),
-        h_ext_description=base.h_ext_description,
-        h0_description=base.h0_description,
-    )
+    return replace(base, self_energy=float(self_energy), regulator_sigma=float(sigma))

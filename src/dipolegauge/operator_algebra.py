@@ -122,8 +122,8 @@ class OperatorPolynomial:
     operators plus :meth:`dagger`.
 
     Operator products expand every term pair, so they are meant for
-    low-degree polynomials; :func:`commutator` is the entry point that scales
-    to generators with one term per lattice channel.
+    small-algebra checks, ``bch-check`` and the Fock oracle; lattice-sized
+    generators are contracted as dense arrays in :mod:`dipolegauge.gauge_dipole`.
     """
 
     __slots__ = ("_terms",)
@@ -295,7 +295,8 @@ def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomi
     only with candidates it can fail to commute with; monomial pairs with no
     mode shared between annihilators and creators cancel identically and are
     never expanded.  For two degree-1 polynomials over n channels this costs
-    O(n) rather than O(n^2).
+    O(n) rather than O(n^2), for small-algebra checks, ``bch-check`` and the
+    Fock oracle; lattice-sized field shifts are dense contractions in gauge_dipole.
     """
     if p.is_zero or q.is_zero:
         return OperatorPolynomial.zero()

@@ -6,6 +6,7 @@ from dipolegauge import (
     DegenerateSeparationError,
     Dipole,
     DipoleConfig,
+    OperatorPolynomial,
     UnitSystem,
     build_gm_generator,
     build_mode_lattice,
@@ -394,3 +395,77 @@ def test_field_component_generator_regulated(lattice4):
     assert residual < 1e-14 * gen_bare.max_coeff()
     with pytest.raises(ValueError):
         field_component_generator(lattice4, [0.1, 0.0, 0.0], 4)
+
+
+# --- dense field-shift route --------------------------------------------------
+
+
+@pytest.mark.parametrize("lattice_name", ["lattice4", "lattice8"])
+@pytest.mark.parametrize("sigma", [0.0, 0.03, 0.3])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_field_shift_dense_matches_dict_route(request, lattice_name, sigma, count):
+    # the exact operator-algebra commutator of the dict generators is an
+    # independent route to the same scalars; sigma = 0.3 drives most
+    # regulated field coefficients below PRUNE_TOL
+    lattice = request.getfixturevalue(lattice_name)
+    rng = np.random.default_rng(1000 * count + int(100 * sigma) + lattice.half_extent)
+    cfg = DipoleConfig(
+        dipoles=tuple(
+            Dipole(rng.uniform(-0.3, 0.3, 3), rng.normal(size=3)) for _ in range(count)
+        )
+    )
+    pt = rng.uniform(-0.3, 0.3, 3)
+    x = build_gm_generator(cfg, lattice)
+    exact = np.zeros(3)
+    for component in range(3):
+        field_gen = field_component_generator(lattice, pt, component, sigma)
+        if sigma == 0.3:
+            assert len(field_gen) < 0.5 * 6 * lattice.num_modes
+        central = commutator(x, field_gen)
+        assert is_central(central)
+        exact[component] = -central.scalar_part.real
+    dense = field_shift_from_commutator(cfg, lattice, pt, sigma)
+    # only scalars well above the absolute cut are compared
+    compared = np.abs(exact) > 1e-10
+    assert compared.any()
+    assert_allclose(dense[compared], exact[compared], rtol=1e-12)
+
+
+def test_field_shift_route_builds_no_dict_polynomials(lattice4, monkeypatch):
+    import dipolegauge.operator_algebra as operator_algebra
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dict polynomial built on the dense route")
+
+    monkeypatch.setattr(operator_algebra, "commutator", forbidden)
+    monkeypatch.setattr(OperatorPolynomial, "__init__", forbidden)
+    monkeypatch.setattr(OperatorPolynomial, "_from_canonical", classmethod(forbidden))
+    cfg = two_dipole_config([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    with pytest.raises(AssertionError, match="dict polynomial"):
+        build_gm_generator(cfg, lattice4)
+    shift = field_shift_from_commutator(cfg, lattice4, [0.2, 0.1, -0.1], 0.03)
+    assert np.all(np.isfinite(shift)) and np.any(shift != 0.0)
+
+
+def test_field_shift_guard_rejects_non_anti_hermitian_x(lattice4, monkeypatch, rng):
+    import dipolegauge.gauge_dipole as gauge_dipole
+    from dipolegauge.field_modes import FieldCoefficients, vector_potential_coeffs
+
+    cfg = two_dipole_config(rng.normal(size=3), rng.normal(size=3))
+    ann, cre = gauge_dipole._dipole_form(cfg, lattice4, vector_potential_coeffs, -1j)
+    gauge_dipole._require_anti_hermitian(ann, cre)
+    corrupted = cre.copy()
+    corrupted[7, 1] += 1e-9 * np.max(np.abs(ann))
+    with pytest.raises(ArithmeticError, match="anti-Hermitian"):
+        gauge_dipole._require_anti_hermitian(ann, corrupted)
+    with pytest.raises(ArithmeticError, match="anti-Hermitian"):
+        gauge_dipole._require_anti_hermitian(ann, np.conj(ann))
+
+    # a Hermitian potential block reaches the guard inside the route
+    def hermitian_coeffs(lattice, r):
+        good = vector_potential_coeffs(lattice, r)
+        return FieldCoefficients(good.kvecs, good.position, good.ann, good.ann)
+
+    monkeypatch.setattr(gauge_dipole, "vector_potential_coeffs", hermitian_coeffs)
+    with pytest.raises(ArithmeticError, match="anti-Hermitian"):
+        field_shift_from_commutator(cfg, lattice4, [0.2, 0.1, -0.1], 0.03)
