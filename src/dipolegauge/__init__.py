@@ -18,7 +18,6 @@ from .coulomb_path import (
     path_independence_residual,
     staircase_path,
     straight_path,
-    transformed_field,
 )
 from .errors import (
     BchOrderViolationError,
@@ -127,6 +126,5 @@ __all__ = [
     "dipole_kernel",
     "commutator_line_integral",
     "line_integral_endpoint",
-    "transformed_field",
     "path_independence_residual",
 ]

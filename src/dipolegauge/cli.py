@@ -38,6 +38,7 @@ from .coulomb_path import (
     commutator_line_integral,
     coulomb_field,
     line_integral_endpoint,
+    path_residual,
     staircase_path,
     straight_path,
 )
@@ -100,6 +101,7 @@ DEFAULTS = {
     "bch_truncation": 40,
     "bch_interior": 20,
     "bch_dim_cap": 4096,
+    "sigma_box_divisor": 20.0,
 }
 
 TOLERANCES = {
@@ -254,151 +256,251 @@ def render_csv(command: str, records: list[ResultRecord]) -> str:
     return buffer.getvalue()
 
 
-def parse_results(text: str) -> list[ResultRecord]:
-    """Re-parse a JSON document emitted by render_json into ResultRecords."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"result document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError("result document missing schema_version "
-                          f"{SCHEMA_VERSION}")
-    records = []
-    for raw in doc.get("records", []):
-        comparisons = [
-            Comparison(
-                name=c["name"],
-                computed=float(c["computed"]),
-                reference=float(c["reference"]),
-                tolerance=float(c["tolerance"]),
-                kind=c["kind"],
-            )
-            for c in raw["comparisons"]
-        ]
-        records.append(
-            ResultRecord(
-                command=raw["command"],
-                label=raw["label"],
-                input_digest=raw["input_digest"],
-                outputs=raw["outputs"],
-                comparisons=comparisons,
-                gates_exit=bool(raw["gates_exit"]),
-                duration_seconds=float(raw["duration_seconds"]),
-            )
-        )
-    return records
-
-
 # ---------------------------------------------------------------------------
-# config validation helpers
+# declarative config parsing
+#
+# A table maps each key of a JSON object to (parser, default).  Keys are
+# parsed in table order by parser(value, where, parsed), where ``where`` is
+# the key's path for error messages and ``parsed`` holds the keys parsed
+# before it.  An absent key takes its default as is, without parsing.
+
+REQUIRED = object()  # default marking a key that must be present
 
 
-def _fail(message: str) -> ConfigError:
-    return ConfigError(message)
+def _parse_block(raw, table: dict, where: str, prefix: str | None = None) -> dict:
+    """Parse the JSON object ``raw`` by ``table``; key paths are ``prefix + key``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+    missing = sorted(k for k, (_, d) in table.items() if d is REQUIRED and k not in raw)
+    if missing:
+        raise ConfigError(f"missing required key(s) {missing} in {where}")
+    prefix = f"{where}." if prefix is None else prefix
+    parsed = {}
+    for key, (parser, default) in table.items():
+        parsed[key] = parser(raw[key], prefix + key, parsed) if key in raw else default
+    return parsed
 
 
-def _expect_mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise _fail(f"{where} must be a JSON object, got {type(value).__name__}")
+def _keep(value, where, parsed=None):
     return value
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise _fail(f"unknown key(s) {unknown} in {where}")
-    missing = sorted(required - set(obj))
-    if missing:
-        raise _fail(f"missing required key(s) {missing} in {where}")
-
-
-def _as_number(value, where: str, *, positive=False, nonnegative=False) -> float:
+def _real(value, where, parsed=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{where} must be a number, got {value!r}")
-    out = float(value)
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _number(value, where, parsed=None) -> float:
+    out = _real(value, where)
     if not np.isfinite(out):
-        raise _fail(f"{where} must be finite, got {out}")
-    if positive and out <= 0.0:
-        raise _fail(f"{where} must be > 0, got {out}")
-    if nonnegative and out < 0.0:
-        raise _fail(f"{where} must be >= 0, got {out}")
+        raise ConfigError(f"{where} must be finite, got {out}")
     return out
 
 
-def _as_int(value, where: str, *, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(f"{where} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _fail(f"{where} must be >= {minimum}, got {value}")
-    return value
+def _positive(value, where, parsed=None) -> float:
+    out = _number(value, where)
+    if out <= 0.0:
+        raise ConfigError(f"{where} must be > 0, got {out}")
+    return out
 
 
-def _as_vec3(value, where: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != 3:
-        raise _fail(f"{where} must be a 3-element list, got {value!r}")
-    return np.array([_as_number(v, f"{where}[{i}]") for i, v in enumerate(value)])
+def _positive_or_none(value, where, parsed=None) -> float | None:
+    # an explicit null asks for the default, as an absent key does
+    return None if value is None else _positive(value, where)
 
 
-def _as_vec3_list(value, where: str, *, allow_empty=False) -> list[np.ndarray]:
-    if not isinstance(value, list):
-        raise _fail(f"{where} must be a list of 3-vectors")
-    if not value and not allow_empty:
-        raise _fail(f"{where} must not be empty")
-    return [_as_vec3(v, f"{where}[{i}]") for i, v in enumerate(value)]
+def _int(minimum: int):
+    def parse(value, where, parsed=None) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
-def _parse_units(raw: dict, where: str = "units") -> UnitSystem:
-    block = _expect_mapping(raw, where)
-    _check_keys(block, {"hbar", "epsilon0", "c"}, set(), where)
-    kwargs = {
-        key: _as_number(block[key], f"{where}.{key}", positive=True)
-        for key in block
-    }
-    return UnitSystem(**kwargs)
+def _list_of(item, min_len: int = 1, max_len: float = float("inf")):
+    def parse(value, where, parsed=None) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {type(value).__name__}")
+        if not min_len <= len(value) <= max_len:
+            size = min_len if min_len == max_len else f">= {min_len}"
+            raise ConfigError(f"{where} must have {size} entries, got {len(value)}")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+    return parse
 
 
-def _parse_tolerances(raw: dict) -> dict:
-    block = _expect_mapping(raw, "tolerances")
-    _check_keys(block, set(TOLERANCES), set(), "tolerances")
-    merged = dict(TOLERANCES)
-    for key, value in block.items():
-        merged[key] = _as_number(value, f"tolerances.{key}", positive=True)
-    return merged
+def _vec3(value, where, parsed=None) -> np.ndarray:
+    return np.array(_list_of(_number, 3, 3)(value, where))
 
 
-def _parse_lattice_block(raw, where: str = "lattice") -> tuple[float, int]:
-    block = _expect_mapping(raw, where)
-    _check_keys(block, {"box_length", "half_extent"}, set(), where)
-    box_length = _as_number(
-        block.get("box_length", DEFAULTS["box_length"]),
-        f"{where}.box_length",
-        positive=True,
-    )
-    half_extent = _as_int(
-        block.get("half_extent", DEFAULTS["half_extent"]),
-        f"{where}.half_extent",
-        minimum=1,
-    )
-    return box_length, half_extent
-
-
-def _parse_dipoles(raw, units: UnitSystem, where: str = "dipoles") -> DipoleConfig:
-    if not isinstance(raw, list):
-        raise _fail(f"{where} must be a list of dipole objects")
-    dipoles = []
-    for i, entry in enumerate(raw):
-        block = _expect_mapping(entry, f"{where}[{i}]")
-        _check_keys(block, {"position", "moment"}, {"position", "moment"}, f"{where}[{i}]")
-        dipoles.append(
-            Dipole(
-                position=_as_vec3(block["position"], f"{where}[{i}].position"),
-                moment=_as_vec3(block["moment"], f"{where}[{i}].moment"),
-            )
-        )
+def _build(cls, where: str, **kwargs):
     try:
-        return DipoleConfig(dipoles=tuple(dipoles), units=units)
-    except DegenerateSeparationError as exc:
-        raise _fail(f"invalid {where}: {exc}") from exc
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _block(table: dict, cls=dict):
+    """Parser of a nested object whose parsed keys are passed to ``cls``."""
+    return lambda value, where, parsed=None: _build(
+        cls, where, **_parse_block(value, table, where)
+    )
+
+
+def _one_of(*allowed):
+    def parse(value, where, parsed=None):
+        if value not in allowed:
+            raise ConfigError(f"{where} must be one of {list(allowed)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _dipoles(value, where, parsed) -> DipoleConfig:
+    dipole = _block({"position": (_vec3, REQUIRED), "moment": (_vec3, REQUIRED)}, Dipole)
+    dipoles = tuple(_list_of(dipole, 0)(value, where))
+    return _build(DipoleConfig, where, dipoles=dipoles, units=parsed["units"])
+
+
+def _charge_paths(value, where, parsed) -> list[ChargePath]:
+    # a path carries the config's charge unless it sets its own
+    keys = {
+        "vertices": (_list_of(_vec3, 2), REQUIRED),
+        "charge": (_number, parsed["charge"]),
+    }
+    return _list_of(_block(keys, ChargePath))(value, where)
+
+
+_UNIT_KEYS = {k: (_positive, getattr(UnitSystem, k)) for k in ("hbar", "epsilon0", "c")}
+_COMMON_KEYS = {
+    "schema_version": (_one_of(SCHEMA_VERSION), REQUIRED),
+    "units": (_block(_UNIT_KEYS, UnitSystem), UnitSystem()),
+    "output_format": (_one_of("json", "csv"), "json"),
+    "tolerances": (_block({k: (_positive, v) for k, v in TOLERANCES.items()}), TOLERANCES),
+}
+_LATTICE_KEYS = {
+    "box_length": (_positive, DEFAULTS["box_length"]),
+    "half_extent": (_int(1), DEFAULTS["half_extent"]),
+}
+_LATTICE = (_block(_LATTICE_KEYS), None)
+_SIGMA = (_positive_or_none, None)
+
+# per-subcommand keys on top of _COMMON_KEYS; README's key table lists them
+_KEYS = {
+    "verify-commutator": {
+        "separations": (_list_of(_vec3), REQUIRED),
+        "box_length": (_positive, DEFAULTS["box_length"]),
+        "half_extents": (_list_of(_int(1)), DEFAULTS["half_extents_sweep"]),
+        "sigma": _SIGMA,
+    },
+    "dipole-energy": {
+        "dipoles": (_dipoles, REQUIRED),
+        "lattice": _LATTICE,
+        "sigma": _SIGMA,
+    },
+    "field-shift": {
+        "dipoles": (_dipoles, REQUIRED),
+        "field_points": (_list_of(_vec3), REQUIRED),
+        "lattice": _LATTICE,
+        "sigma": _SIGMA,
+    },
+    "coulomb-path": {
+        "field_points": (_list_of(_vec3), REQUIRED),
+        "charge": (_number, DEFAULTS["charge"]),
+        "endpoint_factor": (_positive, DEFAULTS["endpoint_factor"]),
+        "charge_paths": (_charge_paths, None),
+        "path_pairs": (_list_of(_list_of(_int(0), 2, 2), 0), None),
+        "exclusion_radius": (_positive_or_none, None),
+        "quad_epsrel": (_positive, DEFAULTS["quad_epsrel"]),
+    },
+    "bch-check": {
+        "xi_values": (_list_of(_number), DEFAULTS["bch_xi_values"]),
+        "truncation": (_int(2), DEFAULTS["bch_truncation"]),
+        "interior": (_int(1), DEFAULTS["bch_interior"]),
+        "dim_cap": (_int(2), DEFAULTS["bch_dim_cap"]),
+    },
+}
+
+
+def _default_sigma(sigma: float | None, gaps: list[float], box_length: float) -> float:
+    """The configured sigma, else the smallest gap times sigma_fraction, else
+    (no gap, as for a lone dipole) box_length / sigma_box_divisor."""
+    if sigma is not None:
+        return sigma
+    if gaps:
+        return min(gaps) * DEFAULTS["sigma_fraction"]
+    return box_length / DEFAULTS["sigma_box_divisor"]
+
+
+# cross-key rules a table cannot express, one check per subcommand
+
+
+def _check_verify_commutator(cfg: dict) -> None:
+    # the regulated sum only approximates the continuum inside sigma < rho < L
+    for i, sep in enumerate(cfg["separations"]):
+        rho = float(np.linalg.norm(sep))
+        sigma = _default_sigma(cfg["sigma"], [rho], cfg["box_length"])
+        if not (0.0 < sigma < rho < cfg["box_length"]):
+            raise ConfigError(
+                f"separations[{i}]: need sigma < |rho| < box_length, got "
+                f"sigma={sigma}, |rho|={rho}, box_length={cfg['box_length']}"
+            )
+
+
+def _check_field_shift(cfg: dict) -> None:
+    for i, point in enumerate(cfg["field_points"]):
+        for q, dip in enumerate(cfg["dipoles"].dipoles):
+            if float(np.linalg.norm(point - dip.position)) == 0.0:
+                raise ConfigError(f"field_points[{i}] coincides with dipole {q}")
+
+
+def _check_coulomb_path(cfg: dict) -> None:
+    """Also resolves ``path_pairs`` to the explicit list, all pairs by default."""
+    for i, point in enumerate(cfg["field_points"]):
+        if float(np.linalg.norm(point)) == 0.0:
+            raise ConfigError(f"field_points[{i}] must not be the origin")
+    paths, pairs = cfg["charge_paths"], cfg["path_pairs"]
+    if paths is None:
+        if pairs is not None:
+            raise ConfigError("path_pairs requires an explicit charge_paths list")
+        return
+    if pairs is None:
+        pairs = [[a, b] for a in range(len(paths)) for b in range(a + 1, len(paths))]
+    for i, (a, b) in enumerate(pairs):
+        if a >= len(paths) or b >= len(paths) or a == b:
+            raise ConfigError(f"path_pairs[{i}] indices out of range or equal")
+        if paths[a].charge != paths[b].charge:
+            raise ConfigError(
+                f"path pair ({a}, {b}) carries different charges; residuals "
+                "are only defined for equal charges"
+            )
+    cfg["path_pairs"] = pairs
+
+
+def _check_bch_check(cfg: dict) -> None:
+    if cfg["interior"] > cfg["truncation"]:
+        interior, truncation = cfg["interior"], cfg["truncation"]
+        raise ConfigError(f"interior block {interior} exceeds truncation {truncation}")
+
+
+def _validator(command: str, check=None):
+    """Validator of ``command``'s raw config: its table, then its check."""
+    table = {**_COMMON_KEYS, **_KEYS[command]}
+
+    def _validate(raw) -> dict:
+        cfg = _parse_block(raw, table, f"{command} config", prefix="")
+        if check is not None:
+            check(cfg)
+        return cfg
+
+    return _validate
 
 
 def _load_raw_config(path: str) -> tuple[dict, str]:
@@ -406,76 +508,66 @@ def _load_raw_config(path: str) -> tuple[dict, str]:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise _fail(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"config file {path} is not valid JSON: {exc}") from exc
-    raw = _expect_mapping(raw, "config")
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
     return raw, digest
 
 
-_COMMON_KEYS = {"schema_version", "units", "output_format", "tolerances"}
+def _record(cls, table: dict):
+    """Parser of a ``cls.to_dict()`` object; keys that are not fields are derived."""
+
+    def parse(value, where, parsed=None):
+        fields = _parse_block(value, table, where)
+        return cls(**{k: fields[k] for k in cls.__dataclass_fields__})
+
+    return parse
 
 
-def _validate_common(raw: dict, extra_keys: set[str], command: str) -> dict:
-    _check_keys(raw, _COMMON_KEYS | extra_keys, {"schema_version"}, f"{command} config")
-    version = raw["schema_version"]
-    if version != SCHEMA_VERSION:
-        raise _fail(
-            f"unsupported schema_version {version!r}; this build speaks "
-            f"{SCHEMA_VERSION}"
-        )
-    units = _parse_units(raw.get("units", {}))
-    fmt = raw.get("output_format", "json")
-    if fmt not in ("json", "csv"):
-        raise _fail(f"output_format must be 'json' or 'csv', got {fmt!r}")
-    tolerances = _parse_tolerances(raw.get("tolerances", {}))
-    return {"units": units, "output_format": fmt, "tolerances": tolerances}
+# the keys to_dict() writes; abs_error, rel_error and passed are derived
+_COMPARISON_KEYS = {
+    "name": (_keep, REQUIRED),
+    "computed": (_real, REQUIRED),
+    "reference": (_real, REQUIRED),
+    "abs_error": (_keep, None),
+    "rel_error": (_keep, None),
+    "tolerance": (_real, REQUIRED),
+    "kind": (_keep, REQUIRED),
+    "passed": (_keep, None),
+}
+_RECORD_KEYS = {
+    "command": (_keep, REQUIRED),
+    "label": (_keep, REQUIRED),
+    "input_digest": (_keep, REQUIRED),
+    "outputs": (_keep, REQUIRED),
+    "comparisons": (_list_of(_record(Comparison, _COMPARISON_KEYS), 0), REQUIRED),
+    "passed": (_keep, None),
+    "gates_exit": (lambda value, where, parsed=None: bool(value), REQUIRED),
+    "duration_seconds": (_real, REQUIRED),
+}
+_RESULT_KEYS = {
+    "schema_version": (_one_of(SCHEMA_VERSION), REQUIRED),
+    "command": (_keep, REQUIRED),
+    "records": (_list_of(_record(ResultRecord, _RECORD_KEYS), 0), REQUIRED),
+}
+
+
+def parse_results(text: str) -> list[ResultRecord]:
+    """Re-parse a JSON document emitted by render_json into ResultRecords."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"result document is not valid JSON: {exc}") from exc
+    return _parse_block(doc, _RESULT_KEYS, "result document")["records"]
 
 
 # ---------------------------------------------------------------------------
 # verify-commutator
-
-
-def _validate_verify_commutator(raw: dict) -> dict:
-    cfg = _validate_common(
-        raw, {"separations", "box_length", "half_extents", "sigma"}, "verify-commutator"
-    )
-    if "separations" not in raw:
-        raise _fail("verify-commutator config requires a 'separations' list")
-    separations = _as_vec3_list(raw["separations"], "separations")
-    box_length = _as_number(
-        raw.get("box_length", DEFAULTS["box_length"]), "box_length", positive=True
-    )
-    extents_raw = raw.get("half_extents", DEFAULTS["half_extents_sweep"])
-    if not isinstance(extents_raw, list) or not extents_raw:
-        raise _fail("half_extents must be a non-empty list of integers")
-    half_extents = [
-        _as_int(v, f"half_extents[{i}]", minimum=1) for i, v in enumerate(extents_raw)
-    ]
-    sigma = raw.get("sigma")
-    if sigma is not None:
-        sigma = _as_number(sigma, "sigma", positive=True)
-    # the regulated sum only approximates the continuum inside sigma < rho < L
-    for i, sep in enumerate(separations):
-        rho = float(np.linalg.norm(sep))
-        sigma_eff = sigma if sigma is not None else rho * DEFAULTS["sigma_fraction"]
-        if not (0.0 < sigma_eff < rho < box_length):
-            raise _fail(
-                f"separations[{i}]: need sigma < |rho| < box_length, got "
-                f"sigma={sigma_eff}, |rho|={rho}, box_length={box_length}"
-            )
-    cfg.update(
-        separations=separations,
-        box_length=box_length,
-        half_extents=half_extents,
-        sigma=sigma,
-    )
-    return cfg
 
 
 def _run_verify_commutator(cfg: dict, digest: str) -> list[ResultRecord]:
@@ -485,7 +577,7 @@ def _run_verify_commutator(cfg: dict, digest: str) -> list[ResultRecord]:
     lattices = {}
     for sep in cfg["separations"]:
         rho = float(np.linalg.norm(sep))
-        sigma = cfg["sigma"] if cfg["sigma"] is not None else rho * DEFAULTS["sigma_fraction"]
+        sigma = _default_sigma(cfg["sigma"], [rho], cfg["box_length"])
         for extent in cfg["half_extents"]:
             start = time.perf_counter()
             if extent not in lattices:
@@ -548,45 +640,18 @@ def _run_verify_commutator(cfg: dict, digest: str) -> list[ResultRecord]:
 # dipole-energy
 
 
-def _validate_dipole_energy(raw: dict) -> dict:
-    cfg = _validate_common(raw, {"dipoles", "lattice", "sigma"}, "dipole-energy")
-    if "dipoles" not in raw:
-        raise _fail("dipole-energy config requires a 'dipoles' list")
-    config = _parse_dipoles(raw["dipoles"], cfg["units"])
-    lattice_params = None
-    if "lattice" in raw:
-        lattice_params = _parse_lattice_block(raw["lattice"])
-    sigma = raw.get("sigma")
-    if sigma is not None:
-        sigma = _as_number(sigma, "sigma", positive=True)
-    cfg.update(dipole_config=config, lattice_params=lattice_params, sigma=sigma)
-    return cfg
-
-
-def _min_separation(config: DipoleConfig) -> float | None:
-    gaps = [
-        float(np.linalg.norm(a.position - b.position))
-        for i, a in enumerate(config.dipoles)
-        for b in config.dipoles[:i]
-    ]
-    return min(gaps) if gaps else None
-
-
 def _run_dipole_energy(cfg: dict, digest: str) -> list[ResultRecord]:
     start = time.perf_counter()
-    config = cfg["dipole_config"]
+    config = cfg["dipoles"]
     comparisons = []
-    if cfg["lattice_params"] is not None:
-        box_length, half_extent = cfg["lattice_params"]
-        lattice = build_mode_lattice(box_length, half_extent, cfg["units"])
-        sigma = cfg["sigma"]
-        if sigma is None:
-            min_sep = _min_separation(config)
-            sigma = (
-                min_sep * DEFAULTS["sigma_fraction"]
-                if min_sep is not None
-                else box_length / 20.0
-            )
+    if cfg["lattice"] is not None:
+        lattice = build_mode_lattice(**cfg["lattice"], units=cfg["units"])
+        gaps = [
+            float(np.linalg.norm(a.position - b.position))
+            for i, a in enumerate(config.dipoles)
+            for b in config.dipoles[:i]
+        ]
+        sigma = _default_sigma(cfg["sigma"], gaps, lattice.box_length)
         report = transform_report(config, lattice, sigma)
         tol = cfg["tolerances"]["pair_energy_rel"]
         for (q, qp), closed in report.pair_energies.items():
@@ -620,53 +685,19 @@ def _run_dipole_energy(cfg: dict, digest: str) -> list[ResultRecord]:
 # field-shift
 
 
-def _validate_field_shift(raw: dict) -> dict:
-    cfg = _validate_common(
-        raw, {"dipoles", "field_points", "lattice", "sigma"}, "field-shift"
-    )
-    for key in ("dipoles", "field_points"):
-        if key not in raw:
-            raise _fail(f"field-shift config requires a '{key}' list")
-    config = _parse_dipoles(raw["dipoles"], cfg["units"])
-    points = _as_vec3_list(raw["field_points"], "field_points")
-    for i, point in enumerate(points):
-        for q, dip in enumerate(config.dipoles):
-            if float(np.linalg.norm(point - dip.position)) == 0.0:
-                raise _fail(f"field_points[{i}] coincides with dipole {q}")
-    lattice_params = None
-    if "lattice" in raw:
-        lattice_params = _parse_lattice_block(raw["lattice"])
-    sigma = raw.get("sigma")
-    if sigma is not None:
-        sigma = _as_number(sigma, "sigma", positive=True)
-    cfg.update(
-        dipole_config=config,
-        field_points=points,
-        lattice_params=lattice_params,
-        sigma=sigma,
-    )
-    return cfg
-
-
 def _run_field_shift(cfg: dict, digest: str) -> list[ResultRecord]:
-    config = cfg["dipole_config"]
+    config = cfg["dipoles"]
     tol = cfg["tolerances"]["field_shift_rel"]
     lattice = None
     sigma = cfg["sigma"]
-    if cfg["lattice_params"] is not None:
-        box_length, half_extent = cfg["lattice_params"]
-        lattice = build_mode_lattice(box_length, half_extent, cfg["units"])
-        if sigma is None:
-            gaps = [
-                float(np.linalg.norm(point - dip.position))
-                for point in cfg["field_points"]
-                for dip in config.dipoles
-            ]
-            sigma = (
-                min(gaps) * DEFAULTS["sigma_fraction"]
-                if gaps
-                else box_length / 20.0
-            )
+    if cfg["lattice"] is not None:
+        lattice = build_mode_lattice(**cfg["lattice"], units=cfg["units"])
+        gaps = [
+            float(np.linalg.norm(point - dip.position))
+            for point in cfg["field_points"]
+            for dip in config.dipoles
+        ]
+        sigma = _default_sigma(sigma, gaps, lattice.box_length)
     records = []
     for point in cfg["field_points"]:
         start = time.perf_counter()
@@ -711,87 +742,6 @@ def _run_field_shift(cfg: dict, digest: str) -> list[ResultRecord]:
 # coulomb-path
 
 
-def _validate_coulomb_path(raw: dict) -> dict:
-    cfg = _validate_common(
-        raw,
-        {
-            "field_points",
-            "charge",
-            "endpoint_factor",
-            "charge_paths",
-            "path_pairs",
-            "exclusion_radius",
-            "quad_epsrel",
-        },
-        "coulomb-path",
-    )
-    if "field_points" not in raw:
-        raise _fail("coulomb-path config requires a 'field_points' list")
-    points = _as_vec3_list(raw["field_points"], "field_points")
-    for i, point in enumerate(points):
-        if float(np.linalg.norm(point)) == 0.0:
-            raise _fail(f"field_points[{i}] must not be the origin")
-    charge = _as_number(raw.get("charge", DEFAULTS["charge"]), "charge")
-    endpoint_factor = _as_number(
-        raw.get("endpoint_factor", DEFAULTS["endpoint_factor"]),
-        "endpoint_factor",
-        positive=True,
-    )
-    paths = None
-    if "charge_paths" in raw:
-        if not isinstance(raw["charge_paths"], list) or not raw["charge_paths"]:
-            raise _fail("charge_paths must be a non-empty list of path objects")
-        paths = []
-        for i, entry in enumerate(raw["charge_paths"]):
-            block = _expect_mapping(entry, f"charge_paths[{i}]")
-            _check_keys(block, {"vertices", "charge"}, {"vertices"}, f"charge_paths[{i}]")
-            vertices = raw["charge_paths"][i]["vertices"]
-            if not isinstance(vertices, list) or len(vertices) < 2:
-                raise _fail(f"charge_paths[{i}].vertices must list >= 2 points")
-            verts = [
-                _as_vec3(v, f"charge_paths[{i}].vertices[{j}]")
-                for j, v in enumerate(vertices)
-            ]
-            path_charge = _as_number(
-                block.get("charge", charge), f"charge_paths[{i}].charge"
-            )
-            try:
-                paths.append(ChargePath(vertices=np.array(verts), charge=path_charge))
-            except ValueError as exc:
-                raise _fail(f"charge_paths[{i}]: {exc}") from exc
-    pairs = None
-    if "path_pairs" in raw:
-        if paths is None:
-            raise _fail("path_pairs requires an explicit charge_paths list")
-        if not isinstance(raw["path_pairs"], list):
-            raise _fail("path_pairs must be a list of [i, j] index pairs")
-        pairs = []
-        for i, entry in enumerate(raw["path_pairs"]):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise _fail(f"path_pairs[{i}] must be an [i, j] pair")
-            a = _as_int(entry[0], f"path_pairs[{i}][0]", minimum=0)
-            b = _as_int(entry[1], f"path_pairs[{i}][1]", minimum=0)
-            if a >= len(paths) or b >= len(paths) or a == b:
-                raise _fail(f"path_pairs[{i}] indices out of range or equal")
-            pairs.append((a, b))
-    exclusion_radius = raw.get("exclusion_radius")
-    if exclusion_radius is not None:
-        exclusion_radius = _as_number(exclusion_radius, "exclusion_radius", positive=True)
-    quad_epsrel = _as_number(
-        raw.get("quad_epsrel", DEFAULTS["quad_epsrel"]), "quad_epsrel", positive=True
-    )
-    cfg.update(
-        field_points=points,
-        charge=charge,
-        endpoint_factor=endpoint_factor,
-        paths=paths,
-        path_pairs=pairs,
-        exclusion_radius=exclusion_radius,
-        quad_epsrel=quad_epsrel,
-    )
-    return cfg
-
-
 def _coulomb_comparisons(
     integral: np.ndarray,
     oracle: np.ndarray,
@@ -825,7 +775,7 @@ def _run_coulomb_path(cfg: dict, digest: str) -> list[ResultRecord]:
         "quad_epsrel": cfg["quad_epsrel"],
     }
     records = []
-    if cfg["paths"] is None:
+    if cfg["charge_paths"] is None:
         # reference mode: straight and staircase path per field point
         for point in cfg["field_points"]:
             start = time.perf_counter()
@@ -836,13 +786,7 @@ def _run_coulomb_path(cfg: dict, digest: str) -> list[ResultRecord]:
             oracle = line_integral_endpoint(straight, point, units)
             minus_coulomb = -coulomb_field(point, cfg["charge"], units)
             comparisons = _coulomb_comparisons(integral, oracle, minus_coulomb, tolerances)
-            if cfg["charge"] != 0.0:
-                residual = float(
-                    np.max(np.abs(integral - stairs_integral))
-                    / np.linalg.norm(-minus_coulomb)
-                )
-            else:
-                residual = 0.0
+            residual = path_residual(integral, stairs_integral, point, cfg["charge"], units)
             comparisons.append(
                 Comparison(
                     name="straight_vs_staircase_residual",
@@ -874,7 +818,7 @@ def _run_coulomb_path(cfg: dict, digest: str) -> list[ResultRecord]:
 
     # explicit-path mode
     integrals = {}
-    for p_idx, path in enumerate(cfg["paths"]):
+    for p_idx, path in enumerate(cfg["charge_paths"]):
         for pt_idx, point in enumerate(cfg["field_points"]):
             start = time.perf_counter()
             integral = commutator_line_integral(path, point, units, **quad_kwargs)
@@ -900,30 +844,13 @@ def _run_coulomb_path(cfg: dict, digest: str) -> list[ResultRecord]:
                     duration_seconds=time.perf_counter() - start,
                 )
             )
-    pairs = cfg["path_pairs"]
-    if pairs is None:
-        pairs = [
-            (a, b)
-            for a in range(len(cfg["paths"]))
-            for b in range(a + 1, len(cfg["paths"]))
-        ]
-    for a, b in pairs:
-        if cfg["paths"][a].charge != cfg["paths"][b].charge:
-            raise ConfigError(
-                f"path pair ({a}, {b}) carries different charges; residuals "
-                "are only defined for equal charges"
-            )
+    for a, b in cfg["path_pairs"]:
+        charge = cfg["charge_paths"][a].charge
         for pt_idx, point in enumerate(cfg["field_points"]):
             start = time.perf_counter()
-            charge = cfg["paths"][a].charge
-            diff = float(
-                np.max(np.abs(integrals[(a, pt_idx)] - integrals[(b, pt_idx)]))
+            residual = path_residual(
+                integrals[(a, pt_idx)], integrals[(b, pt_idx)], point, charge, units
             )
-            if charge != 0.0:
-                scale = float(np.linalg.norm(coulomb_field(point, charge, units)))
-                residual = diff / scale
-            else:
-                residual = 0.0
             records.append(
                 ResultRecord(
                     command="coulomb-path",
@@ -951,29 +878,6 @@ def _run_coulomb_path(cfg: dict, digest: str) -> list[ResultRecord]:
 
 # ---------------------------------------------------------------------------
 # bch-check
-
-
-def _validate_bch_check(raw: dict) -> dict:
-    cfg = _validate_common(
-        raw, {"xi_values", "truncation", "interior", "dim_cap"}, "bch-check"
-    )
-    xi_raw = raw.get("xi_values", DEFAULTS["bch_xi_values"])
-    if not isinstance(xi_raw, list) or not xi_raw:
-        raise _fail("xi_values must be a non-empty list of numbers")
-    xi_values = [_as_number(v, f"xi_values[{i}]") for i, v in enumerate(xi_raw)]
-    truncation = _as_int(
-        raw.get("truncation", DEFAULTS["bch_truncation"]), "truncation", minimum=2
-    )
-    interior = _as_int(
-        raw.get("interior", DEFAULTS["bch_interior"]), "interior", minimum=1
-    )
-    if interior > truncation:
-        raise _fail(f"interior block {interior} exceeds truncation {truncation}")
-    dim_cap = _as_int(raw.get("dim_cap", DEFAULTS["bch_dim_cap"]), "dim_cap", minimum=2)
-    cfg.update(
-        xi_values=xi_values, truncation=truncation, interior=interior, dim_cap=dim_cap
-    )
-    return cfg
 
 
 def _run_bch_check(cfg: dict, digest: str) -> list[ResultRecord]:
@@ -1032,14 +936,14 @@ def _run_bch_check(cfg: dict, digest: str) -> list[ResultRecord]:
 
 _COMMANDS = {
     "verify-commutator": (
-        _validate_verify_commutator,
+        _validator("verify-commutator", _check_verify_commutator),
         _run_verify_commutator,
         "Check the box mode sum of the equal-time commutator of the vector "
         "potential with the electric field against the closed form "
         "i*hbar/(4 pi eps0 |rho|^3) (delta_jl - 3 rhohat_j rhohat_l).",
     ),
     "dipole-energy": (
-        _validate_dipole_energy,
+        _validator("dipole-energy"),
         _run_dipole_energy,
         "Evaluate static dipole-dipole pair energies "
         "(d.d' - 3 (d.Rhat)(d'.Rhat)) / (4 pi eps0 |R|^3), optionally "
@@ -1047,21 +951,21 @@ _COMMANDS = {
         "regularized self energy.",
     ),
     "field-shift": (
-        _validate_field_shift,
+        _validator("field-shift", _check_field_shift),
         _run_field_shift,
         "Evaluate the classical dipole field sum_q E_dip(R - R_q, d_q) by "
         "which the electric-field operators of the two pictures differ, "
         "optionally cross-checked against the commutator route.",
     ),
     "coulomb-path": (
-        _validate_coulomb_path,
+        _validator("coulomb-path", _check_coulomb_path),
         _run_coulomb_path,
         "Integrate the line-integral commutator kernel along polyline paths "
         "and verify it recovers minus the Coulomb field q r/(4 pi eps0 |r|^3) "
         "independent of the path interior.",
     ),
     "bch-check": (
-        _validate_bch_check,
+        _validator("bch-check", _check_bch_check),
         _run_bch_check,
         "Verify the closed-form conjugation e^X Y e^(-X) = Y + [X, Y] for a "
         "central commutator against a truncated-Fock matrix-exponential "

@@ -34,7 +34,7 @@ __all__ = [
     "dipole_kernel",
     "commutator_line_integral",
     "line_integral_endpoint",
-    "transformed_field",
+    "path_residual",
     "path_independence_residual",
 ]
 
@@ -173,6 +173,12 @@ def commutator_line_integral(
     value is minus the Coulomb field of the charge, short of the endpoint
     truncation term.
 
+    The result is also the c-number correction, transformed minus original
+    field operator at r.  Field operators conjugate by the full adjoint, so
+    the correction is the single commutator with weight one (not the
+    factor-1/2 flow average of the time-derivative identity); as it cancels
+    the Coulomb field, the transformed picture's field is purely transverse.
+
     The charge prefactor is applied outside the quadrature, so the result is
     exactly linear in q.
 
@@ -235,26 +241,17 @@ def line_integral_endpoint(
     return -path.charge / (4.0 * np.pi * units.epsilon0) * (ends[1] - ends[0])
 
 
-def transformed_field(
-    path: ChargePath,
-    r,
-    units: UnitSystem = NATURAL,
-    *,
-    exclusion_radius: float | None = None,
-    quad_epsrel: float = 1e-9,
-) -> np.ndarray:
-    """C-number correction (transformed minus original field operator) at r.
+def path_residual(
+    first: np.ndarray, second: np.ndarray, r, charge: float, units: UnitSystem = NATURAL
+) -> float:
+    """Max-norm difference of two line integrals at r, normalized by |E_c(r)|.
 
-    Field operators conjugate by the full adjoint, so the correction is the
-    single commutator with weight one (not the factor-1/2 flow average that
-    governs the time-derivative identity).  For an endpoint far from the
-    origin the correction approaches minus the Coulomb field, making the
-    transformed picture's field purely transverse: correction(r) plus
-    coulomb_field(r, q) goes to zero as the endpoint recedes.
+    Zero for a zero charge, whose line integrals vanish identically.
     """
-    return commutator_line_integral(
-        path, r, units, exclusion_radius=exclusion_radius, quad_epsrel=quad_epsrel
-    )
+    if charge == 0.0:
+        return 0.0
+    scale = float(np.linalg.norm(coulomb_field(r, charge, units)))
+    return float(np.max(np.abs(first - second)) / scale)
 
 
 def path_independence_residual(
@@ -282,7 +279,4 @@ def path_independence_residual(
     second = commutator_line_integral(
         path2, r, units, exclusion_radius=exclusion_radius, quad_epsrel=quad_epsrel
     )
-    if path1.charge == 0.0:
-        return 0.0
-    scale = float(np.linalg.norm(coulomb_field(r, path1.charge, units)))
-    return float(np.max(np.abs(first - second)) / scale)
+    return path_residual(first, second, r, path1.charge, units)

@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dipolegauge import ConfigError
+from dipolegauge import ConfigError, cli
 from dipolegauge.cli import (
     DEFAULTS,
     SCHEMA_VERSION,
@@ -54,6 +56,25 @@ def two_dipoles(sep):
         {"position": [0.0, 0.0, 0.0], "moment": [1.0, 0.0, 0.0]},
         {"position": list(sep), "moment": [1.0, 0.0, 0.0]},
     ]
+
+
+def cp_config(**overrides):
+    cfg = {
+        "schema_version": 1,
+        "field_points": [[0, 0, 2.0]],
+        "charge_paths": [
+            {"vertices": [[0, 0, 0], [0, 0, -100.0]]},
+            {"vertices": [[0, 0, 0], [-1.0, 0, -100.0]]},
+        ],
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def de_config(**overrides):
+    cfg = {"schema_version": 1, "dipoles": two_dipoles([0, 0, 0.2])}
+    cfg.update(overrides)
+    return cfg
 
 
 # --- validation failures (exit 2) -------------------------------------------
@@ -220,6 +241,24 @@ def test_cp_pair_charge_mismatch(tmp_path, capsys):
     assert "charges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path_pairs", [[[0, 1]], None])
+def test_cp_charge_mismatch_rejected_before_quadrature(
+    tmp_path, capsys, monkeypatch, path_pairs
+):
+    # explicit and implied all-pairs alike fail validation, so no path is
+    # ever integrated
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before validation finished")
+
+    monkeypatch.setattr("dipolegauge.cli.commutator_line_integral", no_quadrature)
+    cfg = cp_config()
+    cfg["charge_paths"][1]["charge"] = 2.0
+    if path_pairs is not None:
+        cfg["path_pairs"] = path_pairs
+    assert run(tmp_path, "coulomb-path", cfg) == 2
+    assert "charges" in capsys.readouterr().err
+
+
 def test_cp_bad_path_vertices(tmp_path, capsys):
     cfg = {
         "schema_version": 1,
@@ -253,6 +292,53 @@ def test_bch_dim_cap_enforced(tmp_path, capsys):
 def test_bch_bad_xi(tmp_path):
     assert run(tmp_path, "bch-check", bch_config(xi_values=["big"])) == 2
     assert run(tmp_path, "bch-check", bch_config(xi_values=[])) == 2
+
+
+@pytest.mark.parametrize(
+    "command, cfg, needles",
+    [
+        ("dipole-energy", de_config(lattice=5), ["lattice"]),
+        ("dipole-energy", de_config(lattice={"foo": 1}), ["foo", "lattice"]),
+        ("field-shift", de_config(lattice={"half_extent": 0}, field_points=[[0, 0, 1.0]]),
+         ["lattice.half_extent"]),
+        ("bch-check", bch_config(units=3), ["units"]),
+        ("bch-check", bch_config(tolerances={"bch_interior_abs": 0.0}),
+         ["tolerances.bch_interior_abs"]),
+        ("verify-commutator", vc_config(tolerances={"commutator_rel": -0.1}),
+         ["tolerances.commutator_rel"]),
+        ("coulomb-path", cp_config(charge_paths=[]), ["charge_paths"]),
+        ("coulomb-path", cp_config(charge_paths=[{"vertices": [[0, 0, 0]]}]),
+         ["charge_paths[0].vertices"]),
+        ("coulomb-path", cp_config(path_pairs=[[0]]), ["path_pairs[0]"]),
+        ("coulomb-path", cp_config(path_pairs=[5]), ["path_pairs[0]"]),
+        ("coulomb-path", cp_config(quad_epsrel=0.0), ["quad_epsrel"]),
+        ("coulomb-path", cp_config(exclusion_radius=0.0), ["exclusion_radius"]),
+        ("coulomb-path", cp_config(exclusion_radius=-1.0), ["exclusion_radius"]),
+        ("bch-check", bch_config(dim_cap=2.5), ["dim_cap"]),
+        ("coulomb-path", cp_config(field_points=[]), ["field_points"]),
+        ("field-shift", de_config(field_points=[]), ["field_points"]),
+    ],
+)
+def test_malformed_config_names_key_path(tmp_path, capsys, command, cfg, needles):
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("verify-commutator", vc_config(sigma=None)),
+        ("dipole-energy", de_config(lattice={"half_extent": 6}, sigma=None)),
+        ("field-shift", de_config(lattice={"half_extent": 6}, sigma=None,
+                                  field_points=[[0, 0, 0.4]])),
+        ("coulomb-path", cp_config(exclusion_radius=None)),
+    ],
+)
+def test_null_means_default(tmp_path, command, cfg):
+    # an explicit null takes the default, it is not a validation error
+    assert run(tmp_path, command, cfg) in (0, 1)
 
 
 def test_unknown_command_exits_via_argparse(tmp_path):
@@ -517,6 +603,9 @@ def test_parse_results_rejects_garbage():
         parse_results("{nope")
     with pytest.raises(ConfigError):
         parse_results(json.dumps({"records": []}))
+    for records in ([{}], 5, [5], [{"comparisons": "x"}]):
+        with pytest.raises(ConfigError):
+            parse_results(json.dumps({"schema_version": 1, "records": records}))
 
 
 def test_comparison_semantics():
@@ -528,3 +617,18 @@ def test_comparison_semantics():
         name="z", computed=1e-9, reference=0.0, tolerance=1e-8, kind="absolute"
     )
     assert abs_zero.passed and abs_zero.rel_error is None
+
+
+def test_readme_key_table_lists_each_schema_table():
+    # the README's Required/Optional table documents the schema tables, so
+    # the tables stay the single source of the config keys
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].strip("`") in cli._KEYS:
+            rows[cells[0].strip("`")] = [set(re.findall(r"`(\w+)`", c)) for c in cells[1:]]
+    assert rows.keys() == cli._KEYS.keys()
+    for command, keys in cli._KEYS.items():
+        required = {k for k, (_, default) in keys.items() if default is cli.REQUIRED}
+        assert rows[command] == [required, set(keys) - required], command

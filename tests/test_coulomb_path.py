@@ -14,7 +14,6 @@ from dipolegauge import (
     path_independence_residual,
     staircase_path,
     straight_path,
-    transformed_field,
 )
 
 R_PROBE = np.array([0.6, -0.8, 1.2])
@@ -147,15 +146,6 @@ def test_zero_charge_short_circuits():
     bad = ChargePath(vertices=[[0, 0, 0], 2.0 * R_PROBE], charge=0.0)
     with pytest.raises(PathSingularityError):
         commutator_line_integral(bad, R_PROBE)
-
-
-def test_transformed_field_alias():
-    path = straight_path(R_PROBE, endpoint_factor=50.0)
-    assert_allclose(
-        transformed_field(path, R_PROBE),
-        commutator_line_integral(path, R_PROBE),
-        rtol=1e-15,
-    )
 
 
 def test_correction_cancels_coulomb_field():
