@@ -52,6 +52,7 @@ from .gauge_dipole import (
     field_shift,
     field_shift_from_commutator,
     operator_mode_index,
+    pair_energies_from_commutator,
     pairwise_interaction,
     transform_report,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "epsilon_dip",
     "pairwise_interaction",
     "epsilon_dip_from_commutator",
+    "pair_energies_from_commutator",
     "epsilon_self_regularized",
     "e_dip_field",
     "field_shift",

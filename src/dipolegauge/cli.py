@@ -57,9 +57,9 @@ from .field_modes import (
 from .gauge_dipole import (
     Dipole,
     DipoleConfig,
-    epsilon_dip_from_commutator,
     field_shift,
     field_shift_from_commutator,
+    pair_energies_from_commutator,
     pairwise_interaction,
     transform_report,
 )
@@ -654,12 +654,12 @@ def _run_dipole_energy(cfg: dict, digest: str) -> list[ResultRecord]:
         sigma = _default_sigma(cfg["sigma"], gaps, lattice.box_length)
         report = transform_report(config, lattice, sigma)
         tol = cfg["tolerances"]["pair_energy_rel"]
+        routes = pair_energies_from_commutator(config, lattice, sigma)
         for (q, qp), closed in report.pair_energies.items():
-            route = epsilon_dip_from_commutator(q, qp, config, lattice, sigma)
             comparisons.append(
                 Comparison(
                     name=f"pair_route[{q},{qp}]",
-                    computed=route,
+                    computed=routes[(q, qp)],
                     reference=closed,
                     tolerance=tol,
                     kind="relative",

@@ -10,9 +10,11 @@ for them.  Summing coefficient products over modes gives the equal-time
 commutator of the two fields, which converges (away from contact) to the
 closed-form dipole-kernel tensor provided by :func:`analytic_dipole_tensor`.
 
-All functions here are pure and treat their array inputs as immutable; mode
-sums are plain serial reductions, so repeated calls produce bit-identical
-results.
+All functions here are pure and treat their array inputs as immutable.  Mode
+sums are numpy reductions and small BLAS matrix products (the khat contraction
+of :func:`commutator_ae_modesum`, the pair Gram matrix of
+:func:`dipolegauge.gauge_dipole.pair_energies_from_commutator`), so repeated
+calls produce bit-identical results for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -213,6 +215,24 @@ class FieldCoefficients:
             )
 
 
+def _field_coeffs(lattice: ModeLattice, r, ann_factor, cre_factor):
+    """Per-mode amplitude times ``ann_factor`` exp(i k . r) and ``cre_factor``
+    exp(-i k . r), each times the transverse projector columns.
+
+    The creation block comes from its own phase rather than from conjugating
+    the annihilation block, so :meth:`FieldCoefficients.validate` compares two
+    independent constructions.
+    """
+    r = as_vec3(r, "r")
+    amp = _field_amplitudes(lattice)
+    proj = transverse_projectors(lattice)
+    ann = (ann_factor * amp * np.exp(1j * (lattice.kvecs @ r)))[:, None, None] * proj
+    cre = (cre_factor * amp * np.exp(-1j * (lattice.kvecs @ r)))[:, None, None] * proj
+    return FieldCoefficients(
+        kvecs=lattice.kvecs, position=_read_only(r.copy()), ann=ann, cre=cre
+    )
+
+
 def vector_potential_coeffs(lattice: ModeLattice, r) -> FieldCoefficients:
     """Coefficients of the transverse vector potential at position r.
 
@@ -220,15 +240,7 @@ def vector_potential_coeffs(lattice: ModeLattice, r) -> FieldCoefficients:
     exp(i k . r) times the transverse projector columns; the creation block is
     its conjugate, built independently from exp(-i k . r).
     """
-    r = as_vec3(r, "r")
-    amp = _field_amplitudes(lattice)
-    proj = transverse_projectors(lattice)
-    phase = np.exp(1j * (lattice.kvecs @ r))
-    ann = (amp * phase)[:, None, None] * proj
-    cre = (amp * np.exp(-1j * (lattice.kvecs @ r)))[:, None, None] * proj
-    return FieldCoefficients(
-        kvecs=lattice.kvecs, position=_read_only(r.copy()), ann=ann, cre=cre
-    )
+    return _field_coeffs(lattice, r, 1.0, 1.0)
 
 
 def electric_field_coeffs(lattice: ModeLattice, r) -> FieldCoefficients:
@@ -238,17 +250,7 @@ def electric_field_coeffs(lattice: ModeLattice, r) -> FieldCoefficients:
     multiplied by i omega and each creation coefficient by -i omega, which is
     minus the free-field time derivative of the potential.
     """
-    r = as_vec3(r, "r")
-    amp = _field_amplitudes(lattice)
-    proj = transverse_projectors(lattice)
-    phase = np.exp(1j * (lattice.kvecs @ r))
-    ann = (1j * lattice.omega * amp * phase)[:, None, None] * proj
-    cre = (-1j * lattice.omega * amp * np.exp(-1j * (lattice.kvecs @ r)))[
-        :, None, None
-    ] * proj
-    return FieldCoefficients(
-        kvecs=lattice.kvecs, position=_read_only(r.copy()), ann=ann, cre=cre
-    )
+    return _field_coeffs(lattice, r, 1j * lattice.omega, -1j * lattice.omega)
 
 
 def commutator_ae_modesum(lattice: ModeLattice, R, Rp, sigma: float) -> np.ndarray:
@@ -284,9 +286,10 @@ def commutator_ae_modesum(lattice: ModeLattice, R, Rp, sigma: float) -> np.ndarr
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be > 0 for the regulated sum, got {sigma}")
     weights = regulator_weights(lattice, sigma) * np.cos(lattice.kvecs @ rho)
-    proj = transverse_projectors(lattice)
+    khat = lattice.kvecs / lattice.knorm[:, None]
+    # sum_k w_k (1 - khat khat^T) without the (M, 3, 3) projector stack
+    tensor = np.sum(weights) * np.eye(3) - khat.T @ (weights[:, None] * khat)
     u = lattice.units
-    tensor = np.einsum("k,kjl->jl", weights, proj)
     return -1j * (u.hbar / (u.epsilon0 * lattice.volume)) * tensor
 
 

@@ -436,6 +436,72 @@ def test_dipole_energy_with_lattice_route(tmp_path, capsys):
     assert record["outputs"]["transform_report"]["self_energy"] < 0.0
 
 
+def test_dipole_energy_uses_batched_pair_route(tmp_path, capsys, monkeypatch):
+    # the per-pair route, the mode-sum kernel and the projector stack are all
+    # forbidden; the rows must still match the per-pair route as an oracle
+    from dipolegauge import (
+        Dipole,
+        DipoleConfig,
+        build_mode_lattice,
+        epsilon_dip_from_commutator,
+        field_modes,
+        gauge_dipole,
+        pairwise_interaction,
+    )
+
+    entries = [
+        ([0.0, 0.0, 0.0], [1.0, 0.0, 0.2]),
+        ([0.0, 0.0, 0.2], [0.3, 1.0, 0.5]),
+        ([0.2, 0.0, 0.0], [0.4, 0.2, 1.0]),
+        ([0.15, 0.2, -0.1], [1.0, -1.0, 0.3]),
+    ]
+    sigma, tol = 0.03, 0.1
+    config = DipoleConfig(dipoles=tuple(Dipole(*entry) for entry in entries))
+    lattice = build_mode_lattice(1.0, 12)
+    closed = pairwise_interaction(config).pair_energies
+    expected = [
+        Comparison(
+            name=f"pair_route[{q},{qp}]",
+            computed=epsilon_dip_from_commutator(q, qp, config, lattice, sigma),
+            reference=value,
+            tolerance=tol,
+        )
+        for (q, qp), value in closed.items()
+    ]
+    assert len({row.passed for row in expected}) == 2
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-pair mode sum called")
+
+    for module in (field_modes, gauge_dipole, cli):
+        for name in (
+            "commutator_ae_modesum",
+            "transverse_projectors",
+            "epsilon_dip_from_commutator",
+        ):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError, match="per-pair"):
+        epsilon_dip_from_commutator(1, 0, config, lattice, sigma)
+
+    cfg = {
+        "schema_version": 1,
+        "dipoles": [{"position": pos, "moment": mom} for pos, mom in entries],
+        "lattice": {"half_extent": 12},
+        "sigma": sigma,
+        "tolerances": {"pair_energy_rel": tol},
+    }
+    code = run(tmp_path, "dipole-energy", cfg)
+    assert code == (0 if all(row.passed for row in expected) else 1)
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    rows = record["comparisons"]
+    assert [row["name"] for row in rows] == [row.name for row in expected]
+    for row, want in zip(rows, expected):
+        assert row["reference"] == want.reference
+        assert row["passed"] is want.passed
+        assert abs(row["computed"] - want.computed) <= 1e-10 * tol * abs(want.reference)
+
+
 def test_field_shift_closed_form_only(tmp_path, capsys):
     cfg = {
         "schema_version": 1,

@@ -180,6 +180,25 @@ def test_modesum_properties(lattice8, rng):
     assert_allclose(c_shift, c, rtol=1e-10)
 
 
+def test_modesum_matches_projector_contraction(lattice8, monkeypatch):
+    # the khat contraction must equal the explicit sum over the (M, 3, 3)
+    # projector stack, which it no longer builds
+    import dipolegauge.field_modes as field_modes
+
+    R, Rp, sigma = [0.13, -0.05, 0.2], [-0.02, 0.04, 0.01], 0.04
+    weights = regulator_weights(lattice8, sigma) * np.cos(
+        lattice8.kvecs @ (np.array(R) - np.array(Rp))
+    )
+    explicit = -1j * np.einsum("k,kjl->jl", weights, transverse_projectors(lattice8))
+
+    def forbidden(lattice):
+        raise AssertionError("projector stack built")
+
+    monkeypatch.setattr(field_modes, "transverse_projectors", forbidden)
+    got = commutator_ae_modesum(lattice8, R, Rp, sigma)
+    assert_allclose(got, explicit, rtol=1e-12, atol=1e-12 * np.max(np.abs(explicit)))
+
+
 def test_modesum_degenerate_and_bad_sigma(lattice8):
     with pytest.raises(DegenerateSeparationError):
         commutator_ae_modesum(lattice8, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3], 0.02)

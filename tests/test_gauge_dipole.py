@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dipolegauge import (
@@ -22,6 +24,7 @@ from dipolegauge import (
     field_shift_from_commutator,
     is_central,
     operator_mode_index,
+    pair_energies_from_commutator,
     pairwise_interaction,
     transform_report,
 )
@@ -324,6 +327,129 @@ def test_pair_route_matches_closed_form(lattice24):
     closed = epsilon_dip([0.0, 0.0, 0.1], [1, 0, 0], [1, 0, 0])
     route = epsilon_dip_from_commutator(1, 0, cfg, lattice24, 0.1 / 6)
     assert abs(route - closed) / abs(closed) < 0.02
+
+
+# --- batched pair route -------------------------------------------------------
+
+
+def random_config(rng, count):
+    return DipoleConfig(
+        dipoles=tuple(
+            Dipole(rng.uniform(-0.3, 0.3, 3), rng.normal(size=3)) for _ in range(count)
+        )
+    )
+
+
+@pytest.mark.parametrize("lattice_name", ["lattice4", "lattice8"])
+@pytest.mark.parametrize("sigma", [0.02, 0.04, 0.3])
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
+def test_pair_energies_batched_matches_per_pair_route(
+    request, lattice_name, sigma, count
+):
+    lattice = request.getfixturevalue(lattice_name)
+    rng = np.random.default_rng(1000 * count + int(100 * sigma) + lattice.half_extent)
+    cfg = random_config(rng, count)
+    batched = pair_energies_from_commutator(cfg, lattice, sigma)
+    assert list(batched) == list(pairwise_interaction(cfg).pair_energies)
+    per_pair = {
+        key: epsilon_dip_from_commutator(*key, cfg, lattice, sigma) for key in batched
+    }
+    scale = max(abs(value) for value in per_pair.values())
+    compared = [key for key, value in per_pair.items() if abs(value) > 1e-10 * scale]
+    assert compared
+    assert_allclose(
+        [batched[key] for key in compared],
+        [per_pair[key] for key in compared],
+        rtol=1e-10,
+    )
+
+
+def test_pair_energies_batched_chunking_is_invisible(lattice8, rng, monkeypatch):
+    import dipolegauge.gauge_dipole as gauge_dipole
+
+    cfg = random_config(rng, 4)
+    whole = pair_energies_from_commutator(cfg, lattice8, 0.04)
+    # 1 byte leaves one mode per chunk; 5000 bytes about 26 modes, uneven tail
+    for budget in (1, 5000):
+        monkeypatch.setattr(gauge_dipole, "_GRAM_CHUNK_BYTES", budget)
+        chunked = pair_energies_from_commutator(cfg, lattice8, 0.04)
+        assert list(chunked) == list(whole)
+        assert_allclose(list(chunked.values()), list(whole.values()), rtol=1e-12)
+
+
+def test_pair_energies_batched_edge_cases(lattice4, lattice8, rng):
+    cfg = DipoleConfig(
+        dipoles=(
+            Dipole([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+            Dipole([0.0, 0.0, 0.1], [1.0, 0.0, 0.0]),
+            Dipole([0.1, 0.0, 0.0], [0.0, 1.0, 1.0]),
+        )
+    )
+    batched = pair_energies_from_commutator(cfg, lattice8, 0.02)
+    assert batched[(1, 0)] == 0.0 and batched[(2, 0)] == 0.0
+    assert batched[(2, 1)] != 0.0
+    lone = DipoleConfig(dipoles=(Dipole([0.1, 0.0, 0.0], [1.0, 0.0, 0.0]),))
+    assert pair_energies_from_commutator(lone, lattice8, 0.02) == {}
+    assert pair_energies_from_commutator(DipoleConfig(dipoles=()), lattice8, 0.02) == {}
+    # repeatable bit for bit
+    cfg = random_config(rng, 5)
+    assert pair_energies_from_commutator(cfg, lattice4, 0.04) == (
+        pair_energies_from_commutator(cfg, lattice4, 0.04)
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.02, float("nan"), float("inf")])
+def test_pair_energies_batched_rejects_bad_sigma(lattice4, sigma):
+    cfg = two_dipole_config([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="sigma"):
+        pair_energies_from_commutator(cfg, lattice4, sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        epsilon_dip_from_commutator(1, 0, cfg, lattice4, sigma)
+
+
+def test_pair_energies_batched_rejects_unit_mismatch(lattice4):
+    cfg = DipoleConfig(
+        dipoles=two_dipole_config([1, 0, 0], [0, 1, 0]).dipoles,
+        units=UnitSystem(epsilon0=2.0),
+    )
+    with pytest.raises(ValueError, match="unit"):
+        pair_energies_from_commutator(cfg, lattice4, 0.04)
+    with pytest.raises(ValueError, match="unit"):
+        epsilon_dip_from_commutator(1, 0, cfg, lattice4, 0.04)
+
+
+def _route_to_closed_ratios(units, moment_scale):
+    # the same three dipoles on every call
+    rng = np.random.default_rng(77)
+    cfg = DipoleConfig(
+        dipoles=tuple(
+            Dipole(rng.uniform(-0.3, 0.3, 3), moment_scale * rng.normal(size=3))
+            for _ in range(3)
+        ),
+        units=units,
+    )
+    lattice = build_mode_lattice(1.0, 4, units)
+    batched = pair_energies_from_commutator(cfg, lattice, 0.04)
+    closed = pairwise_interaction(cfg).pair_energies
+    return np.array([batched[key] / closed[key] for key in closed])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    hbar_exp=st.integers(-34, 34),
+    eps0_exp=st.integers(-12, 12),
+    c_exp=st.integers(-8, 8),
+    moment_exp=st.integers(-16, 16),
+)
+@example(hbar_exp=-34, eps0_exp=0, c_exp=0, moment_exp=-16)
+@example(hbar_exp=-34, eps0_exp=-11, c_exp=8, moment_exp=-16)
+def test_pair_energies_batched_unit_covariance(hbar_exp, eps0_exp, c_exp, moment_exp):
+    # no absolute cut may decide the result: the route/closed ratio is a pure
+    # number of the geometry, whatever hbar, eps0, c and the moments are
+    natural = _route_to_closed_ratios(UnitSystem(), 1.0)
+    units = UnitSystem(hbar=10.0**hbar_exp, epsilon0=10.0**eps0_exp, c=10.0**c_exp)
+    scaled = _route_to_closed_ratios(units, 10.0**moment_exp)
+    assert_allclose(scaled, natural, rtol=1e-12)
 
 
 # --- self energy ------------------------------------------------------------
