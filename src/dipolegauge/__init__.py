@@ -16,6 +16,7 @@ from .coulomb_path import (
     dipole_kernel,
     line_integral_endpoint,
     path_independence_residual,
+    path_residual,
     staircase_path,
     straight_path,
 )
@@ -128,5 +129,6 @@ __all__ = [
     "dipole_kernel",
     "commutator_line_integral",
     "line_integral_endpoint",
+    "path_residual",
     "path_independence_residual",
 ]

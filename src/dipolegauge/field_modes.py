@@ -151,6 +151,12 @@ def transverse_projectors(lattice: ModeLattice) -> np.ndarray:
     return np.eye(3)[None, :, :] - khat[:, :, None] * khat[:, None, :]
 
 
+def _require_regulator(sigma: float) -> None:
+    """The one rule for every regulated mode sum: sigma finite and > 0."""
+    if not (sigma > 0.0) or not np.isfinite(sigma):
+        raise ValueError(f"regulated mode sums need a finite sigma > 0, got {sigma}")
+
+
 def regulator_weights(lattice: ModeLattice, sigma: float) -> np.ndarray:
     """Gaussian damping exp(-(|k| sigma)^2) per mode; sigma = 0 disables it.
 
@@ -269,7 +275,7 @@ def commutator_ae_modesum(lattice: ModeLattice, R, Rp, sigma: float) -> np.ndarr
     R, Rp : 3-vectors
         Evaluation points of the two fields; must not coincide.
     sigma : float
-        Regulator length, > 0.
+        Regulator length, finite and > 0.
 
     Returns
     -------
@@ -283,8 +289,7 @@ def commutator_ae_modesum(lattice: ModeLattice, R, Rp, sigma: float) -> np.ndarr
             "commutator evaluated at coincident points; the contact term is "
             "not represented by this mode sum"
         )
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be > 0 for the regulated sum, got {sigma}")
+    _require_regulator(sigma)
     weights = regulator_weights(lattice, sigma) * np.cos(lattice.kvecs @ rho)
     khat = lattice.kvecs / lattice.knorm[:, None]
     # sum_k w_k (1 - khat khat^T) without the (M, 3, 3) projector stack

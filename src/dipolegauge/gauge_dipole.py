@@ -28,13 +28,14 @@ import numpy as np
 from .errors import DegenerateSeparationError
 from .field_modes import (
     ModeLattice,
+    _require_regulator,
     as_vec3,
     commutator_ae_modesum,
     electric_field_coeffs,
     regulator_weights,
     vector_potential_coeffs,
 )
-from .operator_algebra import PRUNE_TOL, OperatorPolynomial
+from .operator_algebra import OperatorPolynomial
 from .units import NATURAL, UnitSystem
 
 __all__ = [
@@ -123,16 +124,13 @@ class TransformReport:
     energy; ``total_interaction`` is their sum.  ``self_energy`` is the sum of
     regularized per-dipole self terms at ``regulator_sigma`` and is None when
     no regulator was supplied; it diverges like 1/sigma^3 as the regulator is
-    removed, so it is only ever reported together with its sigma.  The two
-    description maps carry the non-simulated Hamiltonian pieces symbolically.
+    removed, so it is only ever reported together with its sigma.
     """
 
     pair_energies: dict[tuple[int, int], float]
     total_interaction: float
     self_energy: float | None
     regulator_sigma: float | None
-    h_ext_description: dict[str, str]
-    h0_description: dict[str, str]
 
     def to_dict(self) -> dict:
         """JSON-ready form; pair keys become 'q,qp' strings."""
@@ -143,27 +141,7 @@ class TransformReport:
             "total_interaction": self.total_interaction,
             "self_energy": self.self_energy,
             "regulator_sigma": self.regulator_sigma,
-            "h_ext_description": dict(self.h_ext_description),
-            "h0_description": dict(self.h0_description),
         }
-
-
-_H_EXT_DESCRIPTION = {
-    "term": "H_ext",
-    "expression": "-sum_q d_q . E_tilde(R_q, t)",
-    "meaning": (
-        "each dipole couples to the transformed-picture electric field "
-        "operator at its own location"
-    ),
-    "status": "symbolic only; atomic dynamics are not simulated",
-}
-
-_H0_DESCRIPTION = {
-    "term": "H_0",
-    "expression": "sum_q H_atom(q) + H_field",
-    "meaning": "internal atomic Hamiltonians plus the free transverse field energy",
-    "status": "symbolic only",
-}
 
 
 def _require_matching_units(config: DipoleConfig, lattice: ModeLattice) -> None:
@@ -174,14 +152,9 @@ def _require_matching_units(config: DipoleConfig, lattice: ModeLattice) -> None:
         )
 
 
-def _pruned(arr: np.ndarray) -> np.ndarray:
-    # the same cut OperatorPolynomial applies to every coefficient it stores
-    return np.where(np.abs(arr) > PRUNE_TOL, arr, 0.0)
-
-
 def _degree_one_from_arrays(ann: np.ndarray, cre: np.ndarray) -> OperatorPolynomial:
     # raveling (M, 3) arrays in C order realizes the 3*k + channel convention
-    flat_ann, flat_cre = _pruned(ann).ravel(), _pruned(cre).ravel()
+    flat_ann, flat_cre = ann.ravel(), cre.ravel()
     ann_map = {int(i): flat_ann[i] for i in np.flatnonzero(flat_ann)}
     cre_map = {int(i): flat_cre[i] for i in np.flatnonzero(flat_cre)}
     return OperatorPolynomial.degree_one(ann_map, cre_map)
@@ -199,24 +172,6 @@ def _dipole_form(config: DipoleConfig, lattice: ModeLattice, field_coeffs, phase
         cre = cre + np.einsum("j,kjm->km", dip.moment, coeffs.cre)
     scale = phase / config.units.hbar
     return scale * ann, scale * cre
-
-
-def _field_form(lattice: ModeLattice, r, sigma: float):
-    """(M, 3, 3) ann/cre arrays of the regulated E(r), [mode, component, channel]."""
-    coeffs = electric_field_coeffs(lattice, r)
-    weights = regulator_weights(lattice, sigma)[:, None, None]
-    return weights * coeffs.ann, weights * coeffs.cre
-
-
-def _require_anti_hermitian(ann: np.ndarray, cre: np.ndarray) -> None:
-    """Raise ArithmeticError unless cre = -conj(ann) to 1e-12 of the largest entry."""
-    deviation = float(np.max(np.abs(cre + np.conj(ann)), initial=0.0))
-    scale = float(np.max(np.abs(ann), initial=0.0))
-    if deviation > 1e-12 * scale:
-        raise ArithmeticError(
-            f"gauge exponent is not anti-Hermitian: max |cre + conj(ann)| = "
-            f"{deviation:.3e} against largest coefficient {scale:.3e}"
-        )
 
 
 def build_gm_generator(config: DipoleConfig, lattice: ModeLattice) -> OperatorPolynomial:
@@ -254,8 +209,11 @@ def field_component_generator(
     """
     if component not in (0, 1, 2):
         raise ValueError(f"component must be 0, 1 or 2, got {component}")
-    ann, cre = _field_form(lattice, r, sigma)
-    return _degree_one_from_arrays(ann[:, component], cre[:, component])
+    coeffs = electric_field_coeffs(lattice, r)
+    weights = regulator_weights(lattice, sigma)[:, None]
+    return _degree_one_from_arrays(
+        weights * coeffs.ann[:, component], weights * coeffs.cre[:, component]
+    )
 
 
 def epsilon_dip(R, d, dp, units: UnitSystem = NATURAL) -> float:
@@ -310,8 +268,6 @@ def pairwise_interaction(config: DipoleConfig) -> TransformReport:
         total_interaction=float(sum(pair_energies.values())),
         self_energy=None,
         regulator_sigma=None,
-        h_ext_description=dict(_H_EXT_DESCRIPTION),
-        h0_description=dict(_H0_DESCRIPTION),
     )
 
 
@@ -371,8 +327,7 @@ def pair_energies_from_commutator(
     bit for bit for a fixed BLAS thread count.
     """
     _require_matching_units(config, lattice)
-    if not (sigma > 0.0) or not np.isfinite(sigma):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    _require_regulator(sigma)
     n = len(config)
     if n < 2:
         return {}
@@ -409,8 +364,7 @@ def epsilon_self_regularized(d, lattice: ModeLattice, sigma: float) -> float:
     mode-sum form of the unregulated singularity.
     """
     d = as_vec3(d, "d")
-    if not (sigma > 0.0) or not np.isfinite(sigma):
-        raise ValueError(f"self energy requires a regulator sigma > 0, got {sigma}")
+    _require_regulator(sigma)
     weights = regulator_weights(lattice, sigma)
     khat_dot_d = (lattice.kvecs @ d) / lattice.knorm
     transverse_dd = float(d @ d) - khat_dot_d**2
@@ -446,22 +400,24 @@ def field_shift_from_commutator(
 ) -> np.ndarray:
     """Mode-sum route to :func:`field_shift` via the gauge-exponent commutator.
 
-    X and E_j(R) are degree-1, so [X, E_j(R)] is the c-number
-    sum(x_ann * f_cre) - sum(x_cre * f_ann) over the lattice channels, the
-    transformed minus the original component; the shift is its negation.
-    Operands and result are cut at ``PRUNE_TOL`` as in the dict route
-    commutator(build_gm_generator, field_component_generator).  Raises
-    ArithmeticError if X is not anti-Hermitian.  Agreement with the closed
-    form holds in the same validity window as the commutator kernel itself.
+    [X, E(R)] is the transformed minus the original field component and the
+    shift is its negation.  With X = -(i/hbar) sum_q d_q . A(R_q) and every
+    [A_l(R_q), E_j(R)] the c-number K_q[l, j] of
+    ``commutator_ae_modesum(lattice, R_q, R, sigma)``, the shift is
+    (i/hbar) sum_q d_q . K_q: no operator or coefficient tensor is built and
+    no absolute cut applies.  Commuting :func:`build_gm_generator` with
+    :func:`field_component_generator` is an independent route to the same
+    scalars.  Agreement with the closed form holds in the same validity
+    window as the commutator kernel itself.
     """
     _require_matching_units(config, lattice)
+    _require_regulator(sigma)
     R = _field_point(config, R)
-    x_ann, x_cre = _dipole_form(config, lattice, vector_potential_coeffs, -1j)
-    _require_anti_hermitian(x_ann, x_cre)
-    x_ann, x_cre = map(_pruned, (x_ann, x_cre))
-    f_ann, f_cre = map(_pruned, _field_form(lattice, R, sigma))
-    comm = np.einsum("km,kjm->j", x_ann, f_cre) - np.einsum("km,kjm->j", x_cre, f_ann)
-    return -_pruned(comm).real
+    shift = np.zeros(3)
+    for dip in config.dipoles:
+        kernel = commutator_ae_modesum(lattice, dip.position, R, sigma)
+        shift += ((1j / config.units.hbar) * (dip.moment @ kernel)).real
+    return shift
 
 
 def transform_report(
@@ -469,8 +425,7 @@ def transform_report(
 ) -> TransformReport:
     """Assemble pair energies, total, and regularized self energy into one report."""
     _require_matching_units(config, lattice)
-    if not (sigma > 0.0) or not np.isfinite(sigma):
-        raise ValueError(f"transform report requires a regulator sigma > 0, got {sigma}")
+    _require_regulator(sigma)
     base = pairwise_interaction(config)
     self_energy = sum(
         epsilon_self_regularized(dip.moment, lattice, sigma)

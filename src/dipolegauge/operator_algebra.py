@@ -122,8 +122,9 @@ class OperatorPolynomial:
     operators plus :meth:`dagger`.
 
     Operator products expand every term pair, so they are meant for
-    small-algebra checks, ``bch-check`` and the Fock oracle; lattice-sized
-    generators are contracted as dense arrays in :mod:`dipolegauge.gauge_dipole`.
+    small-algebra checks, ``bch-check`` and the Fock oracle; the lattice-sized
+    pair energies and field shifts of :mod:`dipolegauge.gauge_dipole` contract
+    the c-number A-E kernel instead.
     """
 
     __slots__ = ("_terms",)
@@ -296,7 +297,7 @@ def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomi
     mode shared between annihilators and creators cancel identically and are
     never expanded.  For two degree-1 polynomials over n channels this costs
     O(n) rather than O(n^2), for small-algebra checks, ``bch-check`` and the
-    Fock oracle; lattice-sized field shifts are dense contractions in gauge_dipole.
+    Fock oracle; lattice-sized field shifts contract the A-E kernel in gauge_dipole.
     """
     if p.is_zero or q.is_zero:
         return OperatorPolynomial.zero()

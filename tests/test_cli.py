@@ -538,6 +538,22 @@ def test_field_shift_with_lattice_route(tmp_path, capsys):
     assert record["passed"] is True
 
 
+def test_field_shift_no_dipoles_with_lattice(tmp_path, capsys):
+    # no dipole, no shift: both routes give zeros, as three passing rows
+    cfg = {
+        "schema_version": 1,
+        "dipoles": [],
+        "field_points": [[0.0, 0.0, 0.2]],
+        "lattice": {"half_extent": 4},
+    }
+    assert run(tmp_path, "field-shift", cfg) == 0
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert record["outputs"]["commutator_route"] == [0.0, 0.0, 0.0]
+    rows = record["comparisons"]
+    assert [c["name"] for c in rows] == ["shift[0]", "shift[1]", "shift[2]"]
+    assert all(c["computed"] == c["reference"] == 0.0 and c["passed"] for c in rows)
+
+
 def test_coulomb_path_reference_mode(tmp_path, capsys):
     cfg = {
         "schema_version": 1,

@@ -164,7 +164,6 @@ def test_transform_report_composition(lattice8):
     assert report.pair_energies == pairwise_interaction(cfg).pair_energies
     serialized = report.to_dict()
     assert serialized["pair_energies"] == {"1,0": report.pair_energies[(1, 0)]}
-    assert "E_tilde" in serialized["h_ext_description"]["expression"]
 
 
 def test_transform_report_empty_config(lattice8):
@@ -400,11 +399,19 @@ def test_pair_energies_batched_edge_cases(lattice4, lattice8, rng):
 
 @pytest.mark.parametrize("sigma", [0.0, -0.02, float("nan"), float("inf")])
 def test_pair_energies_batched_rejects_bad_sigma(lattice4, sigma):
+    # one sigma rule for every regulated route
     cfg = two_dipole_config([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    with pytest.raises(ValueError, match="sigma"):
-        pair_energies_from_commutator(cfg, lattice4, sigma)
-    with pytest.raises(ValueError, match="sigma"):
-        epsilon_dip_from_commutator(1, 0, cfg, lattice4, sigma)
+    routes = [
+        lambda: commutator_ae_modesum(lattice4, [0.1, 0.0, 0.0], np.zeros(3), sigma),
+        lambda: pair_energies_from_commutator(cfg, lattice4, sigma),
+        lambda: epsilon_dip_from_commutator(1, 0, cfg, lattice4, sigma),
+        lambda: epsilon_self_regularized([1.0, 0.0, 0.0], lattice4, sigma),
+        lambda: transform_report(cfg, lattice4, sigma),
+        lambda: field_shift_from_commutator(cfg, lattice4, [0.2, 0.1, -0.1], sigma),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="sigma"):
+            route()
 
 
 def test_pair_energies_batched_rejects_unit_mismatch(lattice4):
@@ -418,8 +425,8 @@ def test_pair_energies_batched_rejects_unit_mismatch(lattice4):
         epsilon_dip_from_commutator(1, 0, cfg, lattice4, 0.04)
 
 
-def _route_to_closed_ratios(units, moment_scale):
-    # the same three dipoles on every call
+def _scaled_setup(units, moment_scale):
+    # the same three dipoles and field point on every call
     rng = np.random.default_rng(77)
     cfg = DipoleConfig(
         dipoles=tuple(
@@ -428,28 +435,59 @@ def _route_to_closed_ratios(units, moment_scale):
         ),
         units=units,
     )
-    lattice = build_mode_lattice(1.0, 4, units)
+    return cfg, build_mode_lattice(1.0, 4, units), rng.uniform(-0.3, 0.3, 3)
+
+
+def _route_to_closed_ratios(units, moment_scale):
+    cfg, lattice, _ = _scaled_setup(units, moment_scale)
     batched = pair_energies_from_commutator(cfg, lattice, 0.04)
     closed = pairwise_interaction(cfg).pair_energies
     return np.array([batched[key] / closed[key] for key in closed])
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(
+def _field_shift_ratios(units, moment_scale):
+    cfg, lattice, point = _scaled_setup(units, moment_scale)
+    return field_shift_from_commutator(cfg, lattice, point, 0.04) / field_shift(
+        cfg, point
+    )
+
+
+def _assert_unit_covariant(ratios, hbar_exp, eps0_exp, c_exp, moment_exp):
+    # no absolute cut may decide the result: a route/closed ratio is a pure
+    # number of the geometry, whatever hbar, eps0, c and the moments are
+    natural = ratios(UnitSystem(), 1.0)
+    units = UnitSystem(hbar=10.0**hbar_exp, epsilon0=10.0**eps0_exp, c=10.0**c_exp)
+    assert_allclose(ratios(units, 10.0**moment_exp), natural, rtol=1e-12)
+
+
+_COVARIANCE_SETTINGS = settings(
+    max_examples=30, deadline=None, derandomize=True, database=None
+)
+_EXPONENTS = dict(
     hbar_exp=st.integers(-34, 34),
     eps0_exp=st.integers(-12, 12),
     c_exp=st.integers(-8, 8),
     moment_exp=st.integers(-16, 16),
 )
+
+
+@_COVARIANCE_SETTINGS
+@given(**_EXPONENTS)
 @example(hbar_exp=-34, eps0_exp=0, c_exp=0, moment_exp=-16)
 @example(hbar_exp=-34, eps0_exp=-11, c_exp=8, moment_exp=-16)
 def test_pair_energies_batched_unit_covariance(hbar_exp, eps0_exp, c_exp, moment_exp):
-    # no absolute cut may decide the result: the route/closed ratio is a pure
-    # number of the geometry, whatever hbar, eps0, c and the moments are
-    natural = _route_to_closed_ratios(UnitSystem(), 1.0)
-    units = UnitSystem(hbar=10.0**hbar_exp, epsilon0=10.0**eps0_exp, c=10.0**c_exp)
-    scaled = _route_to_closed_ratios(units, 10.0**moment_exp)
-    assert_allclose(scaled, natural, rtol=1e-12)
+    _assert_unit_covariant(
+        _route_to_closed_ratios, hbar_exp, eps0_exp, c_exp, moment_exp
+    )
+
+
+@_COVARIANCE_SETTINGS
+@given(**_EXPONENTS)
+@example(hbar_exp=-34, eps0_exp=0, c_exp=0, moment_exp=0)
+@example(hbar_exp=0, eps0_exp=0, c_exp=0, moment_exp=-16)
+@example(hbar_exp=-34, eps0_exp=-11, c_exp=8, moment_exp=-16)
+def test_field_shift_unit_covariance(hbar_exp, eps0_exp, c_exp, moment_exp):
+    _assert_unit_covariant(_field_shift_ratios, hbar_exp, eps0_exp, c_exp, moment_exp)
 
 
 # --- self energy ------------------------------------------------------------
@@ -484,21 +522,6 @@ def test_field_shift_closed_form(rng):
         field_shift(single, [0.05, 0.0, 0.0])
 
 
-def test_field_shift_route_matches_kernel_contraction(lattice8, rng):
-    # the polynomial route must agree with the direct kernel contraction
-    # independently of continuum convergence
-    cfg = two_dipole_config(rng.normal(size=3), rng.normal(size=3))
-    pt = np.array([0.21, -0.13, 0.17])
-    sigma = 0.03
-    route = field_shift_from_commutator(cfg, lattice8, pt, sigma)
-    direct = np.zeros(3)
-    for dip in cfg.dipoles:
-        kernel = commutator_ae_modesum(lattice8, dip.position, pt, sigma)
-        contribution = (-1j / cfg.units.hbar) * (dip.moment @ kernel)
-        direct += -contribution.real
-    assert_allclose(route, direct, rtol=1e-10, atol=1e-12)
-
-
 def test_field_shift_route_degenerate_point(lattice8):
     cfg = two_dipole_config([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     with pytest.raises(DegenerateSeparationError):
@@ -523,7 +546,7 @@ def test_field_component_generator_regulated(lattice4):
         field_component_generator(lattice4, [0.1, 0.0, 0.0], 4)
 
 
-# --- dense field-shift route --------------------------------------------------
+# --- kernel field-shift route against the dict polynomials -----------------
 
 
 @pytest.mark.parametrize("lattice_name", ["lattice4", "lattice8"])
@@ -550,48 +573,48 @@ def test_field_shift_dense_matches_dict_route(request, lattice_name, sigma, coun
         central = commutator(x, field_gen)
         assert is_central(central)
         exact[component] = -central.scalar_part.real
-    dense = field_shift_from_commutator(cfg, lattice, pt, sigma)
-    # only scalars well above the absolute cut are compared
+    if sigma == 0.0:
+        # the unregulated dict commutator is still central, but the kernel
+        # route is a regulated sum only
+        with pytest.raises(ValueError, match="sigma"):
+            field_shift_from_commutator(cfg, lattice, pt, sigma)
+        return
+    route = field_shift_from_commutator(cfg, lattice, pt, sigma)
+    # the dict route still cuts at PRUNE_TOL: compare scalars well above it
     compared = np.abs(exact) > 1e-10
     assert compared.any()
-    assert_allclose(dense[compared], exact[compared], rtol=1e-12)
+    assert_allclose(route[compared], exact[compared], rtol=1e-12)
 
 
 def test_field_shift_route_builds_no_dict_polynomials(lattice4, monkeypatch):
+    import dipolegauge.field_modes as field_modes
+    import dipolegauge.gauge_dipole as gauge_dipole
     import dipolegauge.operator_algebra as operator_algebra
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dict polynomial built on the dense route")
+    def forbid(what):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{what} built on the kernel route")
 
-    monkeypatch.setattr(operator_algebra, "commutator", forbidden)
-    monkeypatch.setattr(OperatorPolynomial, "__init__", forbidden)
-    monkeypatch.setattr(OperatorPolynomial, "_from_canonical", classmethod(forbidden))
+        return forbidden
+
+    monkeypatch.setattr(operator_algebra, "commutator", forbid("dict polynomial"))
+    monkeypatch.setattr(OperatorPolynomial, "__init__", forbid("dict polynomial"))
+    monkeypatch.setattr(
+        OperatorPolynomial, "_from_canonical", classmethod(forbid("dict polynomial"))
+    )
+    for name in ("transverse_projectors", "vector_potential_coeffs", "electric_field_coeffs"):
+        for module in (field_modes, gauge_dipole):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbid("coefficient tensor"))
     cfg = two_dipole_config([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    # every patch bites on the routes that build operands
     with pytest.raises(AssertionError, match="dict polynomial"):
+        OperatorPolynomial.degree_one({0: 1.0}, {})
+    with pytest.raises(AssertionError, match="coefficient tensor"):
         build_gm_generator(cfg, lattice4)
+    with pytest.raises(AssertionError, match="coefficient tensor"):
+        field_component_generator(lattice4, [0.2, 0.1, -0.1], 0, 0.03)
+    with pytest.raises(AssertionError, match="coefficient tensor"):
+        field_modes._field_coeffs(lattice4, np.zeros(3), 1.0, 1.0)
     shift = field_shift_from_commutator(cfg, lattice4, [0.2, 0.1, -0.1], 0.03)
     assert np.all(np.isfinite(shift)) and np.any(shift != 0.0)
-
-
-def test_field_shift_guard_rejects_non_anti_hermitian_x(lattice4, monkeypatch, rng):
-    import dipolegauge.gauge_dipole as gauge_dipole
-    from dipolegauge.field_modes import FieldCoefficients, vector_potential_coeffs
-
-    cfg = two_dipole_config(rng.normal(size=3), rng.normal(size=3))
-    ann, cre = gauge_dipole._dipole_form(cfg, lattice4, vector_potential_coeffs, -1j)
-    gauge_dipole._require_anti_hermitian(ann, cre)
-    corrupted = cre.copy()
-    corrupted[7, 1] += 1e-9 * np.max(np.abs(ann))
-    with pytest.raises(ArithmeticError, match="anti-Hermitian"):
-        gauge_dipole._require_anti_hermitian(ann, corrupted)
-    with pytest.raises(ArithmeticError, match="anti-Hermitian"):
-        gauge_dipole._require_anti_hermitian(ann, np.conj(ann))
-
-    # a Hermitian potential block reaches the guard inside the route
-    def hermitian_coeffs(lattice, r):
-        good = vector_potential_coeffs(lattice, r)
-        return FieldCoefficients(good.kvecs, good.position, good.ann, good.ann)
-
-    monkeypatch.setattr(gauge_dipole, "vector_potential_coeffs", hermitian_coeffs)
-    with pytest.raises(ArithmeticError, match="anti-Hermitian"):
-        field_shift_from_commutator(cfg, lattice4, [0.2, 0.1, -0.1], 0.03)
