@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import DegenerateSeparationError, PathSingularityError
 from .field_modes import as_vec3
@@ -204,6 +203,8 @@ def commutator_line_integral(
     _check_clearance(path, r, exclusion_radius)
     if path.charge == 0.0:
         return np.zeros(3)
+    # Deferred: scipy.integrate dominates import time; only coulomb-path uses it.
+    from scipy.integrate import quad_vec
 
     total = np.zeros(3)
     for i in range(path.num_segments):

@@ -423,12 +423,20 @@ def field_shift_from_commutator(
 def transform_report(
     config: DipoleConfig, lattice: ModeLattice, sigma: float
 ) -> TransformReport:
-    """Assemble pair energies, total, and regularized self energy into one report."""
+    """Assemble pair energies, total, and regularized self energy into one report.
+
+    The summed :func:`epsilon_self_regularized` is linear in
+    D = sum_q d_q d_q^T, so it takes one mode pass for all dipoles:
+    (1 / (2 eps0 V)) sum_k w_k (khat^T D khat - tr D).
+    """
     _require_matching_units(config, lattice)
     _require_regulator(sigma)
     base = pairwise_interaction(config)
-    self_energy = sum(
-        epsilon_self_regularized(dip.moment, lattice, sigma)
-        for dip in config.dipoles
-    )
+    moments = np.array([dip.moment for dip in config.dipoles]).reshape(-1, 3)
+    dd = moments.T @ moments
+    khat = lattice.kvecs / lattice.knorm[:, None]
+    longitudinal_dd = np.sum((khat @ dd) * khat, axis=1)
+    weights = regulator_weights(lattice, sigma)
+    scale = 0.5 / (lattice.units.epsilon0 * lattice.volume)
+    self_energy = scale * np.sum(weights * (longitudinal_dd - np.trace(dd)))
     return replace(base, self_energy=float(self_energy), regulator_sigma=float(sigma))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import BchOrderViolationError, OracleTooLargeError
 
@@ -488,6 +487,9 @@ def fock_adjoint_oracle(
         raise ValueError(
             "oracle generator must have an anti-Hermitian coefficient pattern"
         )
+    # Deferred: scipy.linalg is slow to import and only bch-check needs it.
+    from scipy.linalg import expm
+
     xm = fock_matrix(x, config)
     ym = fock_matrix(y, config)
     u = expm(xm)

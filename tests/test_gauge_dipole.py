@@ -155,7 +155,7 @@ def test_pairwise_interaction_counts_and_values():
     )
 
 
-def test_transform_report_composition(lattice8):
+def test_transform_report_composition(lattice4, lattice8):
     cfg = two_dipole_config([1, 0, 0], [1, 0, 0], (0, 0, 0.1))
     report = transform_report(cfg, lattice8, 0.05)
     assert report.regulator_sigma == 0.05
@@ -164,6 +164,17 @@ def test_transform_report_composition(lattice8):
     assert report.pair_energies == pairwise_interaction(cfg).pair_energies
     serialized = report.to_dict()
     assert serialized["pair_energies"] == {"1,0": report.pair_energies[(1, 0)]}
+    # seeded non-parallel moments, where a transposed D = sum_q d_q d_q^T would
+    # not match the per-dipole oracle
+    for count in (3, 4, 5, 6):
+        cfg = random_config(np.random.default_rng(700 + count), count)
+        for lattice, sigma in ((lattice4, 0.04), (lattice8, 0.05), (lattice8, 0.3)):
+            report = transform_report(cfg, lattice, sigma)
+            expected_self = sum(
+                epsilon_self_regularized(dip.moment, lattice, sigma)
+                for dip in cfg.dipoles
+            )
+            assert_allclose(report.self_energy, expected_self, rtol=1e-13)
 
 
 def test_transform_report_empty_config(lattice8):

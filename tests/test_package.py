@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -35,3 +36,85 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+_SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+
+import dipolegauge
+from dipolegauge import cli
+
+configs = json.loads(sys.argv[1])
+work = Path(sys.argv[2])
+for command, cfg in configs:
+    path = work / (command + ".json")
+    path.write_text(json.dumps(cfg))
+    code = cli.main([command, "--config", str(path), "--out", str(work / "out")])
+    assert code == 0, (command, code)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+_PROBE_CONFIGS = {
+    "dipole-energy": {
+        "schema_version": 1,
+        "dipoles": [
+            {"position": [0.0, 0.0, 0.0], "moment": [1.0, 0.0, 0.0]},
+            {"position": [0.0, 0.0, 0.2], "moment": [1.0, 0.0, 0.0]},
+        ],
+        "lattice": {"half_extent": 12},
+        "sigma": 0.04,
+    },
+    "field-shift": {
+        "schema_version": 1,
+        "dipoles": [
+            {"position": [0.0, 0.0, 0.0], "moment": [1.0, 0.0, 0.0]},
+            {"position": [0.15, 0.0, 0.0], "moment": [0.0, 0.0, 1.0]},
+        ],
+        "field_points": [[0.0, 0.0, 0.2]],
+        "lattice": {"half_extent": 8},
+        "sigma": 0.04,
+        "tolerances": {"field_shift_rel": 0.05},
+    },
+    "verify-commutator": {
+        "schema_version": 1,
+        "separations": [[0.0, 0.0, 0.2]],
+        "half_extents": [8],
+        "sigma": 0.04,
+        "tolerances": {"commutator_rel": 0.05},
+    },
+    "coulomb-path": {
+        "schema_version": 1,
+        "field_points": [[0.6, -0.8, 1.2]],
+        "endpoint_factor": 50.0,
+    },
+    "bch-check": {
+        "schema_version": 1,
+        "xi_values": [0.3],
+        "truncation": 20,
+        "interior": 10,
+    },
+}
+
+
+def _scipy_modules_after(commands, tmp_path):
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    configs = [(command, _PROBE_CONFIGS[command]) for command in commands]
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(configs), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def test_scipy_loaded_only_by_the_commands_that_use_it(tmp_path):
+    # scipy is a large import: the package and the mode-sum commands must not
+    # load it, while coulomb-path (quadrature) and bch-check (expm) do
+    plain = ["dipole-energy", "field-shift", "verify-commutator"]
+    assert _scipy_modules_after(plain, tmp_path) == set()
+    assert "scipy.integrate" in _scipy_modules_after(["coulomb-path"], tmp_path)
+    assert "scipy.linalg" in _scipy_modules_after(["bch-check"], tmp_path)
