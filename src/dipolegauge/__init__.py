@@ -52,7 +52,6 @@ from .gauge_dipole import (
     field_component_generator,
     field_shift,
     field_shift_from_commutator,
-    operator_mode_index,
     pair_energies_from_commutator,
     pairwise_interaction,
     transform_report,
@@ -108,7 +107,6 @@ __all__ = [
     "Dipole",
     "DipoleConfig",
     "TransformReport",
-    "operator_mode_index",
     "build_gm_generator",
     "build_y_generator",
     "field_component_generator",

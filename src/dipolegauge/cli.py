@@ -42,13 +42,7 @@ from .coulomb_path import (
     staircase_path,
     straight_path,
 )
-from .errors import (
-    BchOrderViolationError,
-    ConfigError,
-    DegenerateSeparationError,
-    OracleTooLargeError,
-    PathSingularityError,
-)
+from .errors import ConfigError
 from .field_modes import (
     analytic_dipole_tensor,
     build_mode_lattice,
@@ -336,6 +330,12 @@ def _list_of(item, min_len: int = 1, max_len: float = float("inf")):
     return parse
 
 
+def _bool(value, where, parsed=None) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
 def _vec3(value, where, parsed=None) -> np.ndarray:
     return np.array(_list_of(_number, 3, 3)(value, where))
 
@@ -537,7 +537,7 @@ _COMPARISON_KEYS = {
     "abs_error": (_keep, None),
     "rel_error": (_keep, None),
     "tolerance": (_real, REQUIRED),
-    "kind": (_keep, REQUIRED),
+    "kind": (_one_of("relative", "absolute"), REQUIRED),
     "passed": (_keep, None),
 }
 _RECORD_KEYS = {
@@ -547,7 +547,7 @@ _RECORD_KEYS = {
     "outputs": (_keep, REQUIRED),
     "comparisons": (_list_of(_record(Comparison, _COMPARISON_KEYS), 0), REQUIRED),
     "passed": (_keep, None),
-    "gates_exit": (lambda value, where, parsed=None: bool(value), REQUIRED),
+    "gates_exit": (_bool, REQUIRED),
     "duration_seconds": (_real, REQUIRED),
 }
 _RESULT_KEYS = {
@@ -566,82 +566,67 @@ def parse_results(text: str) -> list[ResultRecord]:
     return _parse_block(doc, _RESULT_KEYS, "result document")["records"]
 
 
+# Each runner below takes the validated config and yields one
+# (label, outputs, comparisons, gates_exit) tuple per unit of work; ``main``
+# turns each tuple into a ResultRecord.
+
+
+def _label(vec: np.ndarray) -> str:
+    return np.array2string(vec, separator=",")
+
+
 # ---------------------------------------------------------------------------
 # verify-commutator
 
 
-def _run_verify_commutator(cfg: dict, digest: str) -> list[ResultRecord]:
-    records = []
+def _run_verify_commutator(cfg: dict):
     gate_extent = max(cfg["half_extents"])
     tol = cfg["tolerances"]["commutator_rel"]
     lattices = {}
     for sep in cfg["separations"]:
         rho = float(np.linalg.norm(sep))
         sigma = _default_sigma(cfg["sigma"], [rho], cfg["box_length"])
+        reference = analytic_dipole_tensor(sep, cfg["units"]).imag
+        dominant = float(np.max(np.abs(reference)))
         for extent in cfg["half_extents"]:
-            start = time.perf_counter()
             if extent not in lattices:
                 lattices[extent] = build_mode_lattice(
                     cfg["box_length"], extent, cfg["units"]
                 )
-            lattice = lattices[extent]
-            computed = commutator_ae_modesum(lattice, sep, np.zeros(3), sigma)
-            reference = analytic_dipole_tensor(sep, cfg["units"])
-            dominant = float(np.max(np.abs(reference.imag)))
-            comparisons = []
-            worst_rel = 0.0
-            for i in range(3):
-                for j in range(3):
-                    ref = float(reference.imag[i, j])
-                    com = float(computed.imag[i, j])
-                    if ref != 0.0:
-                        comparisons.append(
-                            Comparison(
-                                name=f"entry[{i},{j}]",
-                                computed=com,
-                                reference=ref,
-                                tolerance=tol,
-                                kind="relative",
-                            )
-                        )
-                        worst_rel = max(worst_rel, abs(com - ref) / abs(ref))
-                    else:
-                        comparisons.append(
-                            Comparison(
-                                name=f"entry[{i},{j}]",
-                                computed=com,
-                                reference=0.0,
-                                tolerance=tol * dominant,
-                                kind="absolute",
-                            )
-                        )
-            records.append(
-                ResultRecord(
-                    command="verify-commutator",
-                    label=f"rho={np.array2string(sep, separator=',')} N={extent}",
-                    input_digest=digest,
-                    outputs={
-                        "separation": _jsonify(sep),
-                        "half_extent": extent,
-                        "sigma": sigma,
-                        "modesum_imag": _jsonify(computed.imag),
-                        "closed_form_imag": _jsonify(reference.imag),
-                        "max_rel_error_nonzero": worst_rel,
-                    },
-                    comparisons=comparisons,
-                    gates_exit=(extent == gate_extent),
-                    duration_seconds=time.perf_counter() - start,
+            computed = commutator_ae_modesum(
+                lattices[extent], sep, np.zeros(3), sigma
+            ).imag
+            # analytically-zero entries are bounded against the dominant entry
+            comparisons = [
+                Comparison(
+                    name=f"entry[{i},{j}]",
+                    computed=float(computed[i, j]),
+                    reference=float(reference[i, j]),
+                    tolerance=tol if reference[i, j] != 0.0 else tol * dominant,
+                    kind="relative" if reference[i, j] != 0.0 else "absolute",
                 )
-            )
-    return records
+                for i in range(3)
+                for j in range(3)
+            ]
+            outputs = {
+                "separation": sep,
+                "half_extent": extent,
+                "sigma": sigma,
+                "modesum_imag": computed,
+                "closed_form_imag": reference,
+                "max_rel_error_nonzero": max(
+                    c.rel_error for c in comparisons if c.kind == "relative"
+                ),
+            }
+            label = f"rho={_label(sep)} N={extent}"
+            yield label, outputs, comparisons, extent == gate_extent
 
 
 # ---------------------------------------------------------------------------
 # dipole-energy
 
 
-def _run_dipole_energy(cfg: dict, digest: str) -> list[ResultRecord]:
-    start = time.perf_counter()
+def _run_dipole_energy(cfg: dict):
     config = cfg["dipoles"]
     comparisons = []
     if cfg["lattice"] is not None:
@@ -655,37 +640,27 @@ def _run_dipole_energy(cfg: dict, digest: str) -> list[ResultRecord]:
         report = transform_report(config, lattice, sigma)
         tol = cfg["tolerances"]["pair_energy_rel"]
         routes = pair_energies_from_commutator(config, lattice, sigma)
-        for (q, qp), closed in report.pair_energies.items():
-            comparisons.append(
-                Comparison(
-                    name=f"pair_route[{q},{qp}]",
-                    computed=routes[(q, qp)],
-                    reference=closed,
-                    tolerance=tol,
-                    kind="relative",
-                )
+        comparisons = [
+            Comparison(
+                name=f"pair_route[{q},{qp}]",
+                computed=routes[(q, qp)],
+                reference=closed,
+                tolerance=tol,
+                kind="relative",
             )
+            for (q, qp), closed in report.pair_energies.items()
+        ]
     else:
         report = pairwise_interaction(config)
-    record = ResultRecord(
-        command="dipole-energy",
-        label=f"{len(config)} dipole(s)",
-        input_digest=digest,
-        outputs={
-            "num_dipoles": len(config),
-            "transform_report": _jsonify(report.to_dict()),
-        },
-        comparisons=comparisons,
-        duration_seconds=time.perf_counter() - start,
-    )
-    return [record]
+    outputs = {"num_dipoles": len(config), "transform_report": report.to_dict()}
+    yield f"{len(config)} dipole(s)", outputs, comparisons, True
 
 
 # ---------------------------------------------------------------------------
 # field-shift
 
 
-def _run_field_shift(cfg: dict, digest: str) -> list[ResultRecord]:
+def _run_field_shift(cfg: dict):
     config = cfg["dipoles"]
     tol = cfg["tolerances"]["field_shift_rel"]
     lattice = None
@@ -698,44 +673,32 @@ def _run_field_shift(cfg: dict, digest: str) -> list[ResultRecord]:
             for dip in config.dipoles
         ]
         sigma = _default_sigma(sigma, gaps, lattice.box_length)
-    records = []
     for point in cfg["field_points"]:
-        start = time.perf_counter()
         closed = field_shift(config, point)
-        outputs = {
-            "point": _jsonify(point),
-            "closed_form": _jsonify(closed),
-            "commutator_route": None,
-            "sigma": sigma,
-        }
+        route = None
         comparisons = []
         if lattice is not None:
             route = field_shift_from_commutator(config, lattice, point, sigma)
-            outputs["commutator_route"] = _jsonify(route)
             # per-entry rows bounded against the dominant component, so
             # analytically-zero components stay meaningful
             dominant = float(np.max(np.abs(closed))) if len(config) else 0.0
-            for axis in range(3):
-                comparisons.append(
-                    Comparison(
-                        name=f"shift[{axis}]",
-                        computed=float(route[axis]),
-                        reference=float(closed[axis]),
-                        tolerance=tol * dominant,
-                        kind="absolute",
-                    )
+            comparisons = [
+                Comparison(
+                    name=f"shift[{axis}]",
+                    computed=float(route[axis]),
+                    reference=float(closed[axis]),
+                    tolerance=tol * dominant,
+                    kind="absolute",
                 )
-        records.append(
-            ResultRecord(
-                command="field-shift",
-                label=f"point={np.array2string(point, separator=',')}",
-                input_digest=digest,
-                outputs=outputs,
-                comparisons=comparisons,
-                duration_seconds=time.perf_counter() - start,
-            )
-        )
-    return records
+                for axis in range(3)
+            ]
+        outputs = {
+            "point": point,
+            "closed_form": closed,
+            "commutator_route": route,
+            "sigma": sigma,
+        }
+        yield f"point={_label(point)}", outputs, comparisons, True
 
 
 # ---------------------------------------------------------------------------
@@ -767,120 +730,85 @@ def _coulomb_comparisons(
     ]
 
 
-def _run_coulomb_path(cfg: dict, digest: str) -> list[ResultRecord]:
+def _residual_row(name: str, residual: float, tolerances: dict) -> Comparison:
+    return Comparison(
+        name=name,
+        computed=residual,
+        reference=0.0,
+        tolerance=tolerances["path_residual"],
+        kind="absolute",
+    )
+
+
+def _run_coulomb_path(cfg: dict):
     units = cfg["units"]
     tolerances = cfg["tolerances"]
     quad_kwargs = {
         "exclusion_radius": cfg["exclusion_radius"],
         "quad_epsrel": cfg["quad_epsrel"],
     }
-    records = []
     if cfg["charge_paths"] is None:
         # reference mode: straight and staircase path per field point
         for point in cfg["field_points"]:
-            start = time.perf_counter()
             straight = straight_path(point, cfg["endpoint_factor"], cfg["charge"])
             stairs = staircase_path(point, cfg["endpoint_factor"], cfg["charge"])
             integral = commutator_line_integral(straight, point, units, **quad_kwargs)
             stairs_integral = commutator_line_integral(stairs, point, units, **quad_kwargs)
             oracle = line_integral_endpoint(straight, point, units)
             minus_coulomb = -coulomb_field(point, cfg["charge"], units)
-            comparisons = _coulomb_comparisons(integral, oracle, minus_coulomb, tolerances)
             residual = path_residual(integral, stairs_integral, point, cfg["charge"], units)
-            comparisons.append(
-                Comparison(
-                    name="straight_vs_staircase_residual",
-                    computed=residual,
-                    reference=0.0,
-                    tolerance=tolerances["path_residual"],
-                    kind="absolute",
-                )
-            )
-            records.append(
-                ResultRecord(
-                    command="coulomb-path",
-                    label=f"point={np.array2string(point, separator=',')}",
-                    input_digest=digest,
-                    outputs={
-                        "point": _jsonify(point),
-                        "endpoint_factor": cfg["endpoint_factor"],
-                        "charge": cfg["charge"],
-                        "straight_integral": _jsonify(integral),
-                        "staircase_integral": _jsonify(stairs_integral),
-                        "endpoint_formula": _jsonify(oracle),
-                        "minus_coulomb_field": _jsonify(minus_coulomb),
-                    },
-                    comparisons=comparisons,
-                    duration_seconds=time.perf_counter() - start,
-                )
-            )
-        return records
+            comparisons = [
+                *_coulomb_comparisons(integral, oracle, minus_coulomb, tolerances),
+                _residual_row("straight_vs_staircase_residual", residual, tolerances),
+            ]
+            outputs = {
+                "point": point,
+                "endpoint_factor": cfg["endpoint_factor"],
+                "charge": cfg["charge"],
+                "straight_integral": integral,
+                "staircase_integral": stairs_integral,
+                "endpoint_formula": oracle,
+                "minus_coulomb_field": minus_coulomb,
+            }
+            yield f"point={_label(point)}", outputs, comparisons, True
+        return
 
     # explicit-path mode
     integrals = {}
     for p_idx, path in enumerate(cfg["charge_paths"]):
         for pt_idx, point in enumerate(cfg["field_points"]):
-            start = time.perf_counter()
             integral = commutator_line_integral(path, point, units, **quad_kwargs)
             integrals[(p_idx, pt_idx)] = integral
             oracle = line_integral_endpoint(path, point, units)
             minus_coulomb = -coulomb_field(point, path.charge, units)
-            records.append(
-                ResultRecord(
-                    command="coulomb-path",
-                    label=f"path={p_idx} point={np.array2string(point, separator=',')}",
-                    input_digest=digest,
-                    outputs={
-                        "path_index": p_idx,
-                        "point": _jsonify(point),
-                        "charge": path.charge,
-                        "integral": _jsonify(integral),
-                        "endpoint_formula": _jsonify(oracle),
-                        "minus_coulomb_field": _jsonify(minus_coulomb),
-                    },
-                    comparisons=_coulomb_comparisons(
-                        integral, oracle, minus_coulomb, tolerances
-                    ),
-                    duration_seconds=time.perf_counter() - start,
-                )
+            outputs = {
+                "path_index": p_idx,
+                "point": point,
+                "charge": path.charge,
+                "integral": integral,
+                "endpoint_formula": oracle,
+                "minus_coulomb_field": minus_coulomb,
+            }
+            comparisons = _coulomb_comparisons(
+                integral, oracle, minus_coulomb, tolerances
             )
+            yield f"path={p_idx} point={_label(point)}", outputs, comparisons, True
     for a, b in cfg["path_pairs"]:
         charge = cfg["charge_paths"][a].charge
         for pt_idx, point in enumerate(cfg["field_points"]):
-            start = time.perf_counter()
             residual = path_residual(
                 integrals[(a, pt_idx)], integrals[(b, pt_idx)], point, charge, units
             )
-            records.append(
-                ResultRecord(
-                    command="coulomb-path",
-                    label=f"paths=({a},{b}) point={np.array2string(point, separator=',')}",
-                    input_digest=digest,
-                    outputs={
-                        "path_pair": [a, b],
-                        "point": _jsonify(point),
-                        "residual": residual,
-                    },
-                    comparisons=[
-                        Comparison(
-                            name="path_independence_residual",
-                            computed=residual,
-                            reference=0.0,
-                            tolerance=tolerances["path_residual"],
-                            kind="absolute",
-                        )
-                    ],
-                    duration_seconds=time.perf_counter() - start,
-                )
-            )
-    return records
+            outputs = {"path_pair": [a, b], "point": point, "residual": residual}
+            row = _residual_row("path_independence_residual", residual, tolerances)
+            yield f"paths=({a},{b}) point={_label(point)}", outputs, [row], True
 
 
 # ---------------------------------------------------------------------------
 # bch-check
 
 
-def _run_bch_check(cfg: dict, digest: str) -> list[ResultRecord]:
+def _run_bch_check(cfg: dict):
     oracle_cfg = FockOracleConfig(
         modes=(0,), truncations=(cfg["truncation"],), dim_cap=cfg["dim_cap"]
     )
@@ -889,46 +817,29 @@ def _run_bch_check(cfg: dict, digest: str) -> list[ResultRecord]:
     position_like = lower + raise_
     tol = cfg["tolerances"]["bch_interior_abs"]
     interior = cfg["interior"]
-    records = []
     for xi in cfg["xi_values"]:
-        start = time.perf_counter()
         exponent = xi * (raise_ - lower)
         central = commutator(exponent, position_like)
         closed = adjoint_action(exponent, position_like)
         closed_matrix = fock_matrix(closed, oracle_cfg)
         oracle_matrix = fock_adjoint_oracle(exponent, position_like, oracle_cfg)
-        deviation = float(
-            np.max(
-                np.abs(
-                    closed_matrix[:interior, :interior]
-                    - oracle_matrix[:interior, :interior]
-                )
+        deviation = np.abs(closed_matrix - oracle_matrix)[:interior, :interior]
+        outputs = {
+            "xi": xi,
+            "truncation": cfg["truncation"],
+            "interior": interior,
+            "central_commutator": central.scalar_part,
+        }
+        comparisons = [
+            Comparison(
+                name="interior_deviation",
+                computed=float(np.max(deviation)),
+                reference=0.0,
+                tolerance=tol,
+                kind="absolute",
             )
-        )
-        records.append(
-            ResultRecord(
-                command="bch-check",
-                label=f"xi={xi:g}",
-                input_digest=digest,
-                outputs={
-                    "xi": xi,
-                    "truncation": cfg["truncation"],
-                    "interior": interior,
-                    "central_commutator": _jsonify(central.scalar_part),
-                },
-                comparisons=[
-                    Comparison(
-                        name="interior_deviation",
-                        computed=deviation,
-                        reference=0.0,
-                        tolerance=tol,
-                        kind="absolute",
-                    )
-                ],
-                duration_seconds=time.perf_counter() - start,
-            )
-        )
-    return records
+        ]
+        yield f"xi={xi:g}", outputs, comparisons, True
 
 
 # ---------------------------------------------------------------------------
@@ -1003,26 +914,32 @@ def main(argv=None) -> int:
     try:
         raw, digest = _load_raw_config(args.config)
         cfg = validator(raw)
-        records = runner(cfg, digest)
+        records = []
+        last = time.perf_counter()
+        for label, outputs, comparisons, gates_exit in runner(cfg):
+            now = time.perf_counter()
+            records.append(
+                ResultRecord(
+                    command=args.command,
+                    label=label,
+                    input_digest=digest,
+                    outputs=_jsonify(outputs),
+                    comparisons=comparisons,
+                    gates_exit=gates_exit,
+                    duration_seconds=now - last,
+                )
+            )
+            last = now
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (
-        DegenerateSeparationError,
-        PathSingularityError,
-        OracleTooLargeError,
-        BchOrderViolationError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # every library error type is a ValueError
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 
     fmt = args.format or cfg["output_format"]
-    text = (
-        render_json(args.command, records)
-        if fmt == "json"
-        else render_csv(args.command, records)
-    )
+    render = render_json if fmt == "json" else render_csv
+    text = render(args.command, records)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -77,19 +77,23 @@ class ChargePath:
         return self.vertices.shape[0] - 1
 
 
+def _reference_endpoint(r, endpoint_factor: float) -> np.ndarray:
+    """Far endpoint -endpoint_factor * r shared by both reference paths."""
+    r = as_vec3(r, "r")
+    if float(np.linalg.norm(r)) == 0.0:
+        raise DegenerateSeparationError("cannot aim a reference path at r = 0")
+    if not (endpoint_factor > 0.0):
+        raise ValueError(f"endpoint_factor must be > 0, got {endpoint_factor}")
+    return -endpoint_factor * r
+
+
 def straight_path(r, endpoint_factor: float = 200.0, charge: float = 1.0) -> ChargePath:
     """Single-segment path from the origin to endpoint_factor * |r| along -rhat.
 
     Walking away from the field point keeps the whole path at distance >= |r|
     from it, so no exclusion radius is ever approached.
     """
-    r = as_vec3(r, "r")
-    dist = float(np.linalg.norm(r))
-    if dist == 0.0:
-        raise DegenerateSeparationError("cannot aim a reference path at r = 0")
-    if not (endpoint_factor > 0.0):
-        raise ValueError(f"endpoint_factor must be > 0, got {endpoint_factor}")
-    endpoint = -endpoint_factor * r
+    endpoint = _reference_endpoint(r, endpoint_factor)
     return ChargePath(vertices=np.array([[0.0, 0.0, 0.0], endpoint]), charge=charge)
 
 
@@ -99,13 +103,7 @@ def staircase_path(r, endpoint_factor: float = 200.0, charge: float = 1.0) -> Ch
     One leg per nonzero endpoint component, in x, y, z order.  Useful as the
     partner in path-independence checks: same endpoints, different interior.
     """
-    r = as_vec3(r, "r")
-    dist = float(np.linalg.norm(r))
-    if dist == 0.0:
-        raise DegenerateSeparationError("cannot aim a reference path at r = 0")
-    if not (endpoint_factor > 0.0):
-        raise ValueError(f"endpoint_factor must be > 0, got {endpoint_factor}")
-    endpoint = -endpoint_factor * r
+    endpoint = _reference_endpoint(r, endpoint_factor)
     vertices = [np.zeros(3)]
     current = np.zeros(3)
     for axis in range(3):

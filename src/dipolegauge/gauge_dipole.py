@@ -42,7 +42,6 @@ __all__ = [
     "Dipole",
     "DipoleConfig",
     "TransformReport",
-    "operator_mode_index",
     "build_gm_generator",
     "build_y_generator",
     "field_component_generator",
@@ -56,15 +55,6 @@ __all__ = [
     "field_shift_from_commutator",
     "transform_report",
 ]
-
-
-def operator_mode_index(k_index: int, channel: int) -> int:
-    """Flat polynomial mode index of bosonic channel (0..2) at wavevector k_index."""
-    if not 0 <= channel <= 2:
-        raise ValueError(f"channel must be 0, 1 or 2, got {channel}")
-    if k_index < 0:
-        raise ValueError(f"k_index must be >= 0, got {k_index}")
-    return 3 * k_index + channel
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,8 @@
+import csv
+import hashlib
+import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -11,6 +15,7 @@ from dipolegauge.cli import (
     SCHEMA_VERSION,
     TOLERANCES,
     Comparison,
+    ResultRecord,
     main,
     parse_results,
     render_csv,
@@ -665,6 +670,88 @@ def test_digest_tracks_config_content(tmp_path, capsys):
     assert third != first
 
 
+@pytest.mark.parametrize(
+    "command, cfg, count",
+    [
+        (
+            "verify-commutator",
+            vc_config(separations=[[0.0, 0.0, 0.2], [0.1, 0.1, 0.1]], half_extents=[6, 8]),
+            4,
+        ),
+        ("coulomb-path", cp_config(path_pairs=[[0, 1]]), 3),
+    ],
+)
+def test_every_record_carries_the_run_contract(tmp_path, capsys, command, cfg, count):
+    # main alone stamps each record with the command, the config digest and
+    # its wall time; the runners only supply the rows
+    run(tmp_path, command, cfg)
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert len(records) == count
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    for record in records:
+        assert record["command"] == command
+        assert record["input_digest"] == digest
+        assert math.isfinite(record["duration_seconds"])
+        assert record["duration_seconds"] >= 0.0
+        if command == "verify-commutator":
+            rows = [c for c in record["comparisons"] if c["kind"] == "relative"]
+            worst = max(c["rel_error"] for c in rows)
+            assert record["outputs"]["max_rel_error_nonzero"] == worst
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[f"{i}-{case['command']}" for i, case in enumerate(GOLDEN)]
+)
+def test_csv_matches_golden(tmp_path, case):
+    r"""CSV and exit code of stored configs stay those of the stored run.
+
+    Labels, names, kinds, ``passed`` and the exit code must match exactly;
+    every number within 1e-9 of its row's gate (tol * |reference| for relative
+    rows, tol for absolute rows), which holds across BLAS builds. The file was
+    written from the repository root with
+
+        PYTHONPATH=src python - <<'EOF'
+        import json, pathlib, tempfile
+        from dipolegauge.cli import main
+        path = pathlib.Path("tests/data/cli_golden.json")
+        cases = json.loads(path.read_text(encoding="utf-8"))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = pathlib.Path(tmp, "config.json"), pathlib.Path(tmp, "rows.csv")
+            for case in cases:
+                cfg.write_text(json.dumps(case["config"]), encoding="utf-8")
+                argv = ["--config", str(cfg), "--format", "csv", "--out", str(out)]
+                case["exit_code"] = main([case["command"], *argv])
+                case["csv"] = out.read_text(encoding="utf-8")
+        path.write_text(json.dumps(cases, indent=2) + "\n", encoding="utf-8")
+        EOF
+    """
+    out = tmp_path / "rows.csv"
+    argv = ["--format", "csv", "--out", str(out)]
+    assert run(tmp_path, case["command"], case["config"], *argv) == case["exit_code"]
+    want = list(csv.DictReader(io.StringIO(case["csv"])))
+    got = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+    assert len(got) == len(want)
+    for new, old in zip(got, want):
+        for key in ("command", "record", "comparison", "kind", "passed"):
+            assert new[key] == old[key], (old["record"], old["comparison"], key)
+        assert (new["rel_error"] == "") == (old["rel_error"] == "")
+        reference = abs(float(old["reference"]))
+        per_tol = reference if old["kind"] == "relative" else 1.0
+        gate = float(old["tolerance"]) * per_tol
+        # each number's change, in units of the deviation or gate it moves
+        scale = {"rel_error": reference, "tolerance": per_tol}
+        for key in ("computed", "reference", "abs_error", "rel_error", "tolerance"):
+            if old[key]:
+                moved = abs(float(new[key]) - float(old[key])) * scale.get(key, 1.0)
+                assert moved <= 1e-9 * gate, (old["record"], old["comparison"], key)
+
+
 def test_parse_results_round_trip(tmp_path, capsys):
     assert run(tmp_path, "bch-check", bch_config()) == 0
     text = capsys.readouterr().out
@@ -688,6 +775,23 @@ def test_parse_results_rejects_garbage():
     for records in ([{}], 5, [5], [{"comparisons": "x"}]):
         with pytest.raises(ConfigError):
             parse_results(json.dumps({"schema_version": 1, "records": records}))
+    # a record render_json wrote parses; each field below breaks it alone
+    row = Comparison(name="c", computed=1.0, reference=1.0, tolerance=0.1)
+    record = ResultRecord(
+        command="x", label="l", input_digest="d", outputs={}, comparisons=[row]
+    )
+    text = render_json("x", [record])
+    assert parse_results(text)[0].comparisons[0].kind == "relative"
+    for key, value in [("gates_exit", "false"), ("gates_exit", 0), ("gates_exit", None)]:
+        doc = json.loads(text)
+        doc["records"][0][key] = value
+        with pytest.raises(ConfigError, match=key):
+            parse_results(json.dumps(doc))
+    for kind in ("bogus", "Relative", None):
+        doc = json.loads(text)
+        doc["records"][0]["comparisons"][0]["kind"] = kind
+        with pytest.raises(ConfigError, match="kind"):
+            parse_results(json.dumps(doc))
 
 
 def test_comparison_semantics():
