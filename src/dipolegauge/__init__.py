@@ -57,7 +57,6 @@ from .gauge_dipole import (
     transform_report,
 )
 from .operator_algebra import (
-    PRUNE_TOL,
     FockOracleConfig,
     OperatorPolynomial,
     adjoint_action,
@@ -94,7 +93,6 @@ __all__ = [
     "commutator_ae_modesum",
     "analytic_dipole_tensor",
     # operator algebra
-    "PRUNE_TOL",
     "OperatorPolynomial",
     "commutator",
     "is_central",

@@ -330,6 +330,12 @@ def _list_of(item, min_len: int = 1, max_len: float = float("inf")):
     return parse
 
 
+def _str(value, where, parsed=None) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def _bool(value, where, parsed=None) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where} must be true or false, got {value!r}")
@@ -356,7 +362,9 @@ def _block(table: dict, cls=dict):
 
 def _one_of(*allowed):
     def parse(value, where, parsed=None):
-        if value not in allowed:
+        # types must match too: Python has true == 1 == 1.0, but a JSON true
+        # or 1.0 is not schema version 1
+        if not any(type(value) is type(a) and value == a for a in allowed):
             raise ConfigError(f"{where} must be one of {list(allowed)}, got {value!r}")
         return value
 
@@ -531,7 +539,7 @@ def _record(cls, table: dict):
 
 # the keys to_dict() writes; abs_error, rel_error and passed are derived
 _COMPARISON_KEYS = {
-    "name": (_keep, REQUIRED),
+    "name": (_str, REQUIRED),
     "computed": (_real, REQUIRED),
     "reference": (_real, REQUIRED),
     "abs_error": (_keep, None),
@@ -541,9 +549,9 @@ _COMPARISON_KEYS = {
     "passed": (_keep, None),
 }
 _RECORD_KEYS = {
-    "command": (_keep, REQUIRED),
-    "label": (_keep, REQUIRED),
-    "input_digest": (_keep, REQUIRED),
+    "command": (_str, REQUIRED),
+    "label": (_str, REQUIRED),
+    "input_digest": (_str, REQUIRED),
     "outputs": (_keep, REQUIRED),
     "comparisons": (_list_of(_record(Comparison, _COMPARISON_KEYS), 0), REQUIRED),
     "passed": (_keep, None),
@@ -552,7 +560,7 @@ _RECORD_KEYS = {
 }
 _RESULT_KEYS = {
     "schema_version": (_one_of(SCHEMA_VERSION), REQUIRED),
-    "command": (_keep, REQUIRED),
+    "command": (_str, REQUIRED),
     "records": (_list_of(_record(ResultRecord, _RECORD_KEYS), 0), REQUIRED),
 }
 
@@ -563,7 +571,14 @@ def parse_results(text: str) -> list[ResultRecord]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"result document is not valid JSON: {exc}") from exc
-    return _parse_block(doc, _RESULT_KEYS, "result document")["records"]
+    parsed = _parse_block(doc, _RESULT_KEYS, "result document")
+    for index, record in enumerate(parsed["records"]):
+        if record.command != parsed["command"]:
+            raise ConfigError(
+                f"result document.records[{index}].command {record.command!r} "
+                f"differs from the document's {parsed['command']!r}"
+            )
+    return parsed["records"]
 
 
 # Each runner below takes the validated config and yields one

@@ -182,35 +182,31 @@ class FieldCoefficients:
 
     The field component j is sum over modes k and channels m of
     ``ann[k, j, m] a_{k m} + cre[k, j, m] a_{k m}^dag``.  Channel coefficient
-    columns are transverse to k, and the creation block is the complex
-    conjugate of the annihilation block, so the reconstructed operator is
-    Hermitian.  Both blocks are stored explicitly (rather than deriving one
-    from the other) so that :meth:`validate` is a real check on the
-    construction.
+    columns are transverse to k.  Only the annihilation block is stored; the
+    creation block is its complex conjugate, so the reconstructed operator is
+    Hermitian by construction.
     """
 
     kvecs: np.ndarray
     position: np.ndarray
     ann: np.ndarray
-    cre: np.ndarray
+
+    @property
+    def cre(self) -> np.ndarray:
+        """Creation block, the complex conjugate of :attr:`ann`."""
+        return np.conj(self.ann)
 
     @property
     def num_modes(self) -> int:
         return self.ann.shape[0]
 
     def validate(self, tol: float = 1e-12) -> None:
-        """Raise ValueError unless transversality and Hermiticity hold.
+        """Raise ValueError unless every coefficient column is transverse to k.
 
-        Both are checked as max absolute deviations against ``tol`` scaled by
-        the largest coefficient magnitude.
+        The max absolute k-contraction is checked against ``tol`` scaled by
+        the largest |k| times the largest coefficient magnitude.
         """
         scale = max(float(np.max(np.abs(self.ann))), 1e-300)
-        herm = float(np.max(np.abs(self.cre - np.conj(self.ann))))
-        if herm > tol * scale:
-            raise ValueError(
-                f"creation block is not the conjugate of the annihilation "
-                f"block: max deviation {herm:.3e} (scale {scale:.3e})"
-            )
         # k_j ann[k, j, m] = 0 for every mode and channel
         trans = float(np.max(np.abs(np.einsum("kj,kjm->km", self.kvecs, self.ann))))
         kscale = float(np.max(np.linalg.norm(self.kvecs, axis=1))) * scale
@@ -221,21 +217,15 @@ class FieldCoefficients:
             )
 
 
-def _field_coeffs(lattice: ModeLattice, r, ann_factor, cre_factor):
-    """Per-mode amplitude times ``ann_factor`` exp(i k . r) and ``cre_factor``
-    exp(-i k . r), each times the transverse projector columns.
-
-    The creation block comes from its own phase rather than from conjugating
-    the annihilation block, so :meth:`FieldCoefficients.validate` compares two
-    independent constructions.
-    """
+def _field_coeffs(lattice: ModeLattice, r, factor):
+    """Per-mode amplitude times ``factor`` exp(i k . r), times the transverse
+    projector columns, as the annihilation block of a field at r."""
     r = as_vec3(r, "r")
     amp = _field_amplitudes(lattice)
     proj = transverse_projectors(lattice)
-    ann = (ann_factor * amp * np.exp(1j * (lattice.kvecs @ r)))[:, None, None] * proj
-    cre = (cre_factor * amp * np.exp(-1j * (lattice.kvecs @ r)))[:, None, None] * proj
+    ann = (factor * amp * np.exp(1j * (lattice.kvecs @ r)))[:, None, None] * proj
     return FieldCoefficients(
-        kvecs=lattice.kvecs, position=_read_only(r.copy()), ann=ann, cre=cre
+        kvecs=lattice.kvecs, position=_read_only(r.copy()), ann=ann
     )
 
 
@@ -244,9 +234,9 @@ def vector_potential_coeffs(lattice: ModeLattice, r) -> FieldCoefficients:
 
     Per mode the annihilation block is sqrt(hbar / (2 eps0 omega V))
     exp(i k . r) times the transverse projector columns; the creation block is
-    its conjugate, built independently from exp(-i k . r).
+    its conjugate.
     """
-    return _field_coeffs(lattice, r, 1.0, 1.0)
+    return _field_coeffs(lattice, r, 1.0)
 
 
 def electric_field_coeffs(lattice: ModeLattice, r) -> FieldCoefficients:
@@ -256,7 +246,7 @@ def electric_field_coeffs(lattice: ModeLattice, r) -> FieldCoefficients:
     multiplied by i omega and each creation coefficient by -i omega, which is
     minus the free-field time derivative of the potential.
     """
-    return _field_coeffs(lattice, r, 1j * lattice.omega, -1j * lattice.omega)
+    return _field_coeffs(lattice, r, 1j * lattice.omega)
 
 
 def commutator_ae_modesum(lattice: ModeLattice, R, Rp, sigma: float) -> np.ndarray:

@@ -143,11 +143,11 @@ def _require_matching_units(config: DipoleConfig, lattice: ModeLattice) -> None:
 
 
 def _degree_one_from_arrays(ann: np.ndarray, cre: np.ndarray) -> OperatorPolynomial:
-    # raveling (M, 3) arrays in C order realizes the 3*k + channel convention
-    flat_ann, flat_cre = ann.ravel(), cre.ravel()
-    ann_map = {int(i): flat_ann[i] for i in np.flatnonzero(flat_ann)}
-    cre_map = {int(i): flat_cre[i] for i in np.flatnonzero(flat_cre)}
-    return OperatorPolynomial.degree_one(ann_map, cre_map)
+    # raveling (M, 3) arrays in C order realizes the 3*k + channel convention;
+    # degree_one drops the exact zeros
+    return OperatorPolynomial.degree_one(
+        dict(enumerate(ann.ravel().tolist())), dict(enumerate(cre.ravel().tolist()))
+    )
 
 
 def _dipole_form(config: DipoleConfig, lattice: ModeLattice, field_coeffs, phase):
@@ -155,13 +155,13 @@ def _dipole_form(config: DipoleConfig, lattice: ModeLattice, field_coeffs, phase
     if len(config) == 0:
         raise ValueError("cannot build a generator from an empty dipole config")
     _require_matching_units(config, lattice)
-    ann = cre = 0.0
+    ann = 0.0
     for dip in config.dipoles:
         coeffs = field_coeffs(lattice, dip.position)
         ann = ann + np.einsum("j,kjm->km", dip.moment, coeffs.ann)
-        cre = cre + np.einsum("j,kjm->km", dip.moment, coeffs.cre)
+    # the moments are real, so the contracted creation block is conj(ann)
     scale = phase / config.units.hbar
-    return scale * ann, scale * cre
+    return scale * ann, scale * np.conj(ann)
 
 
 def build_gm_generator(config: DipoleConfig, lattice: ModeLattice) -> OperatorPolynomial:
@@ -200,10 +200,8 @@ def field_component_generator(
     if component not in (0, 1, 2):
         raise ValueError(f"component must be 0, 1 or 2, got {component}")
     coeffs = electric_field_coeffs(lattice, r)
-    weights = regulator_weights(lattice, sigma)[:, None]
-    return _degree_one_from_arrays(
-        weights * coeffs.ann[:, component], weights * coeffs.cre[:, component]
-    )
+    ann = regulator_weights(lattice, sigma)[:, None] * coeffs.ann[:, component]
+    return _degree_one_from_arrays(ann, np.conj(ann))
 
 
 def epsilon_dip(R, d, dp, units: UnitSystem = NATURAL) -> float:

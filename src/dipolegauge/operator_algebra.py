@@ -4,9 +4,9 @@ A monomial is a pair of sorted mode-index tuples, (creators, annihilators),
 standing for the normal-ordered product of those ladder operators.  Products
 are rewritten into this canonical form with [a_i, a_j^dag] = delta_ij, so the
 zero polynomial has an empty term map and equality checks are exact rather
-than numerical.  Coefficients with magnitude at or below ``PRUNE_TOL`` are
-dropped during canonicalization, which keeps float dust from masquerading as
-structure.
+than numerical.  A term is kept iff its coefficient is nonzero: only exact
+zeros are dropped during canonicalization, so no absolute threshold makes the
+result depend on the scale of the coefficients.
 
 Two closed-form conjugation identities are provided for generator pairs whose
 commutator is central, together with a dense truncated-Fock oracle that checks
@@ -26,7 +26,6 @@ import numpy as np
 from .errors import BchOrderViolationError, OracleTooLargeError
 
 __all__ = [
-    "PRUNE_TOL",
     "OperatorPolynomial",
     "commutator",
     "is_central",
@@ -36,8 +35,6 @@ __all__ = [
     "fock_matrix",
     "fock_adjoint_oracle",
 ]
-
-PRUNE_TOL = 1e-14
 
 # canonical monomial: (sorted creator modes, sorted annihilator modes)
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
@@ -85,8 +82,6 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> dict[Monomial, float]:
     ann_counts = Counter(ann1)
     cre_counts = Counter(cre2)
     shared = sorted(set(ann_counts) & set(cre_counts))
-    if not shared:
-        return {(_merge_sorted(cre1, cre2), _merge_sorted(ann1, ann2)): 1.0}
 
     per_mode = []
     for mode in shared:
@@ -134,7 +129,7 @@ class OperatorPolynomial:
             for (cre, ann), coeff in dict(terms).items():
                 key = (self._as_modes(cre), self._as_modes(ann))
                 merged[key] = merged.get(key, 0j) + complex(coeff)
-        self._terms = {k: v for k, v in merged.items() if abs(v) > PRUNE_TOL}
+        self._terms = self._from_canonical(merged)._terms
 
     @staticmethod
     def _as_modes(modes) -> tuple[int, ...]:
@@ -145,9 +140,11 @@ class OperatorPolynomial:
 
     @classmethod
     def _from_canonical(cls, terms: dict[Monomial, complex]) -> "OperatorPolynomial":
-        # internal fast path: keys are already sorted tuples of ints
+        # internal fast path: keys are already sorted tuples of ints.  The
+        # algebra's one zero rule lives here: a term is kept iff its
+        # coefficient is nonzero
         poly = cls.__new__(cls)
-        poly._terms = {k: v for k, v in terms.items() if abs(v) > PRUNE_TOL}
+        poly._terms = {k: v for k, v in terms.items() if v != 0}
         return poly
 
     @classmethod
@@ -171,18 +168,14 @@ class OperatorPolynomial:
         """Build sum_i ann[i] a_i + cre[i] a_i^dag from mode -> coefficient maps.
 
         This is the bulk constructor for field generators, which carry one
-        term per lattice channel; entries at or below the prune threshold are
-        skipped up front.
+        term per lattice channel; the keys are canonical by construction, so
+        it skips the merging of ``__init__``.
         """
         terms: dict[Monomial, complex] = {}
         for mode, coeff in ann_coeffs.items():
-            coeff = complex(coeff)
-            if abs(coeff) > PRUNE_TOL:
-                terms[((), (int(mode),))] = coeff
+            terms[((), (int(mode),))] = complex(coeff)
         for mode, coeff in cre_coeffs.items():
-            coeff = complex(coeff)
-            if abs(coeff) > PRUNE_TOL:
-                terms[((int(mode),), ())] = coeff
+            terms[((int(mode),), ())] = complex(coeff)
         if any(m < 0 for (cre, ann) in terms for m in (cre or ann)):
             raise ValueError("mode indices must be >= 0")
         return cls._from_canonical(terms)
@@ -275,7 +268,7 @@ class OperatorPolynomial:
     def is_anti_hermitian(self, tol: float = 1e-12) -> bool:
         """True when P^dag + P vanishes to ``tol`` relative to the largest coefficient."""
         residual = self.dagger() + self
-        return residual.max_coeff() <= tol * max(1.0, self.max_coeff())
+        return residual.max_coeff() <= tol * self.max_coeff()
 
     def __repr__(self):
         if not self._terms:

@@ -112,6 +112,9 @@ def test_missing_schema_version(tmp_path, capsys):
 
 def test_wrong_schema_version(tmp_path):
     assert run(tmp_path, "bch-check", bch_config(schema_version=99)) == 2
+    # equal to 1 in Python, but not the integer version 1
+    for version in (True, 1.0, "1"):
+        assert run(tmp_path, "bch-check", bch_config(schema_version=version)) == 2
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -792,6 +795,30 @@ def test_parse_results_rejects_garbage():
         doc["records"][0]["comparisons"][0]["kind"] = kind
         with pytest.raises(ConfigError, match="kind"):
             parse_results(json.dumps(doc))
+    for version in (True, 1.0):
+        doc = json.loads(text)
+        doc["schema_version"] = version
+        with pytest.raises(ConfigError, match="schema_version"):
+            parse_results(json.dumps(doc))
+    for key, value in [
+        ("label", ["a"]),
+        ("command", "other"),
+        ("command", 7),
+        ("input_digest", 5),
+    ]:
+        doc = json.loads(text)
+        doc["records"][0][key] = value
+        with pytest.raises(ConfigError, match=key):
+            parse_results(json.dumps(doc))
+    for command in (7, None):
+        doc = json.loads(text)
+        doc["command"] = command
+        with pytest.raises(ConfigError, match="command"):
+            parse_results(json.dumps(doc))
+    doc = json.loads(text)
+    doc["records"][0]["comparisons"][0]["name"] = 5
+    with pytest.raises(ConfigError, match="name"):
+        parse_results(json.dumps(doc))
 
 
 def test_comparison_semantics():

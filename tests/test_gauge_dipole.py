@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -466,6 +468,21 @@ def _field_shift_ratios(units, moment_scale):
     )
 
 
+@functools.cache  # the natural-units reference is the same on every example
+def _dict_route_ratios(units, moment_scale):
+    # criterion 03's [X, Y] scalar and the exact-algebra field shift, each
+    # over its closed form; hbar [X, Y] is an energy, as the pair sum is
+    cfg, lattice, point = _scaled_setup(units, moment_scale)
+    x = build_gm_generator(cfg, lattice)
+    central = commutator(x, build_y_generator(cfg, lattice))
+    assert is_central(central)
+    closed = pairwise_interaction(cfg).total_interaction
+    pairs = units.hbar * central.scalar_part.imag / closed
+    fields = [field_component_generator(lattice, point, j, 0.04) for j in range(3)]
+    shift = [-commutator(x, field).scalar_part.real for field in fields]
+    return np.array([pairs, *(shift / field_shift(cfg, point))])
+
+
 def _assert_unit_covariant(ratios, hbar_exp, eps0_exp, c_exp, moment_exp):
     # no absolute cut may decide the result: a route/closed ratio is a pure
     # number of the geometry, whatever hbar, eps0, c and the moments are
@@ -502,6 +519,17 @@ def test_pair_energies_batched_unit_covariance(hbar_exp, eps0_exp, c_exp, moment
 @example(hbar_exp=-34, eps0_exp=-11, c_exp=8, moment_exp=-16)
 def test_field_shift_unit_covariance(hbar_exp, eps0_exp, c_exp, moment_exp):
     _assert_unit_covariant(_field_shift_ratios, hbar_exp, eps0_exp, c_exp, moment_exp)
+
+
+# the exact algebra costs about 0.15 s per scale, against milliseconds for
+# the kernel routes above
+@settings(_COVARIANCE_SETTINGS, max_examples=5)
+@given(**_EXPONENTS)
+@example(hbar_exp=-34, eps0_exp=0, c_exp=0, moment_exp=0)
+@example(hbar_exp=0, eps0_exp=0, c_exp=0, moment_exp=-16)
+@example(hbar_exp=-34, eps0_exp=-11, c_exp=8, moment_exp=-16)
+def test_dict_route_unit_covariance(hbar_exp, eps0_exp, c_exp, moment_exp):
+    _assert_unit_covariant(_dict_route_ratios, hbar_exp, eps0_exp, c_exp, moment_exp)
 
 
 # --- self energy ------------------------------------------------------------
@@ -568,8 +596,8 @@ def test_field_component_generator_regulated(lattice4):
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_field_shift_dense_matches_dict_route(request, lattice_name, sigma, count):
     # the exact operator-algebra commutator of the dict generators is an
-    # independent route to the same scalars; sigma = 0.3 drives most
-    # regulated field coefficients below PRUNE_TOL
+    # independent route to the same scalars; sigma = 0.3 damps most
+    # regulated field coefficients by many orders of magnitude
     lattice = request.getfixturevalue(lattice_name)
     rng = np.random.default_rng(1000 * count + int(100 * sigma) + lattice.half_extent)
     cfg = DipoleConfig(
@@ -582,8 +610,6 @@ def test_field_shift_dense_matches_dict_route(request, lattice_name, sigma, coun
     exact = np.zeros(3)
     for component in range(3):
         field_gen = field_component_generator(lattice, pt, component, sigma)
-        if sigma == 0.3:
-            assert len(field_gen) < 0.5 * 6 * lattice.num_modes
         central = commutator(x, field_gen)
         assert is_central(central)
         exact[component] = -central.scalar_part.real
@@ -594,8 +620,8 @@ def test_field_shift_dense_matches_dict_route(request, lattice_name, sigma, coun
             field_shift_from_commutator(cfg, lattice, pt, sigma)
         return
     route = field_shift_from_commutator(cfg, lattice, pt, sigma)
-    # the dict route still cuts at PRUNE_TOL: compare scalars well above it
-    compared = np.abs(exact) > 1e-10
+    # a component that cancels to rounding carries no relative accuracy
+    compared = np.abs(exact) > 1e-10 * np.max(np.abs(exact))
     assert compared.any()
     assert_allclose(route[compared], exact[compared], rtol=1e-12)
 
@@ -629,6 +655,6 @@ def test_field_shift_route_builds_no_dict_polynomials(lattice4, monkeypatch):
     with pytest.raises(AssertionError, match="coefficient tensor"):
         field_component_generator(lattice4, [0.2, 0.1, -0.1], 0, 0.03)
     with pytest.raises(AssertionError, match="coefficient tensor"):
-        field_modes._field_coeffs(lattice4, np.zeros(3), 1.0, 1.0)
+        field_modes._field_coeffs(lattice4, np.zeros(3), 1.0)
     shift = field_shift_from_commutator(cfg, lattice4, [0.2, 0.1, -0.1], 0.03)
     assert np.all(np.isfinite(shift)) and np.any(shift != 0.0)

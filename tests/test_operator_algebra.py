@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dipolegauge import (
@@ -43,7 +45,9 @@ def test_unsorted_keys_are_canonicalized():
 def test_duplicate_keys_merge_and_prune():
     p = OP({((1, 0), ()): 1.0, ((0, 1), ()): -1.0})
     assert p.is_zero
-    assert OP({((), (0,)): 5e-15}).is_zero
+    # an exact zero is dropped; a tiny nonzero coefficient is structure
+    assert OP({((), (0,)): 0.0}).is_zero
+    assert OP({((), (0,)): 1e-16}).terms == {((), (0,)): 1e-16}
 
 
 def test_degree_and_scalars():
@@ -64,7 +68,8 @@ def test_negative_mode_rejected():
 def test_degree_one_bulk_constructor():
     p = OP.degree_one({0: 1.0j, 2: 2.0}, {1: -3.0})
     assert p == 1j * a(0) + 2.0 * a(2) - 3.0 * ad(1)
-    assert OP.degree_one({0: 1e-16}, {}).is_zero
+    assert OP.degree_one({0: 0.0}, {1: 0j}).is_zero
+    assert OP.degree_one({0: 1e-16}, {}) == 1e-16 * a(0)
 
 
 def test_arithmetic_and_dagger():
@@ -81,6 +86,9 @@ def test_anti_hermitian_pattern():
     assert x.is_anti_hermitian()
     assert not (a() + 2.0 * ad()).is_anti_hermitian()
     assert OP.zero().is_anti_hermitian()
+    # the tolerance scales with the polynomial itself, never with 1
+    assert not (1e-13 * (a() + ad())).is_anti_hermitian()
+    assert (1e-13 * x).is_anti_hermitian()
 
 
 # --- products against the dense oracle --------------------------------------
@@ -241,6 +249,8 @@ def test_oracle_zero_exponent_returns_y():
 def test_oracle_requires_anti_hermitian():
     with pytest.raises(ValueError, match="anti-Hermitian"):
         fock_adjoint_oracle(ad(), a() + ad(), oracle_config(6))
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        fock_adjoint_oracle(1e-13 * (a() + ad()), a() + ad(), oracle_config(6))
 
 
 def test_oracle_displacement_interior():
@@ -251,3 +261,105 @@ def test_oracle_displacement_interior():
     oracle = fock_adjoint_oracle(x, y, cfg)
     closed = fock_matrix(adjoint_action(x, y), cfg)
     assert np.max(np.abs(interior(oracle, 15) - interior(closed, 15))) < 1e-9
+
+
+
+# --- properties against the dense Fock matrices -----------------------------
+#
+# Coefficients are multiples of 1/4, so every product and sum the algebra
+# forms is exact and its identities hold exactly.  fock_matrix is exact entry
+# by entry on the truncated space, and a factor with at most two ladders of
+# each kind per mode moves each occupation by at most two, so from
+# occupations <= 3 a triple product never leaves truncation 8: on that block
+# the dense products are the exact operator products.
+
+_PROPERTY_SETTINGS = settings(
+    max_examples=25, deadline=None, derandomize=True, database=None
+)
+_PROPERTY_CFG = FockOracleConfig(modes=(0, 1), truncations=8)
+_SAFE = np.ix_(*[[n0 * 8 + n1 for n0 in range(4) for n1 in range(4)]] * 2)
+_QUARTER = st.integers(-8, 8).map(lambda n: n / 4)
+_COEFF = st.builds(complex, _QUARTER, _QUARTER)
+_LADDERS = st.lists(st.sampled_from((0, 1)), max_size=2).map(tuple)
+_POLY = st.dictionaries(st.tuples(_LADDERS, _LADDERS), _COEFF, max_size=3).map(OP)
+
+
+def _dense(p):
+    return fock_matrix(p, _PROPERTY_CFG)
+
+
+def _assert_safe_block_equal(got, want, *factors):
+    # rounding of a dense product is relative to the product of magnitudes
+    scale = np.linalg.multi_dot([np.abs(f) for f in factors])
+    assert np.max(np.abs(got - want)[_SAFE]) <= 1e-12 * np.max(scale[_SAFE])
+
+
+@_PROPERTY_SETTINGS
+@given(_POLY, _POLY, _POLY)
+def test_property_jacobi_identity(p, q, r):
+    jacobi = (
+        commutator(p, commutator(q, r))
+        + commutator(q, commutator(r, p))
+        + commutator(r, commutator(p, q))
+    )
+    assert jacobi.is_zero
+    mp, mq, mr = _dense(p), _dense(q), _dense(r)
+    nested = mp @ (mq @ mr - mr @ mq) - (mq @ mr - mr @ mq) @ mp
+    algebra = _dense(commutator(p, commutator(q, r)))
+    _assert_safe_block_equal(algebra, nested, mp, mq, mr)
+
+
+@_PROPERTY_SETTINGS
+@given(st.lists(_COEFF, min_size=8, max_size=8))
+def test_property_ccr(c):
+    # [sum_i u_i a_i + v_i a_i^dag, sum_i s_i a_i + t_i a_i^dag]
+    #   = sum_i (u_i t_i - v_i s_i) from [a_i, a_j^dag] = delta_ij alone
+    p = c[0] * a(0) + c[1] * ad(0) + c[2] * a(1) + c[3] * ad(1)
+    q = c[4] * a(0) + c[5] * ad(0) + c[6] * a(1) + c[7] * ad(1)
+    expected = c[0] * c[5] - c[1] * c[4] + c[2] * c[7] - c[3] * c[6]
+    assert commutator(p, q) == OP.scalar(expected)
+    mp, mq = _dense(p), _dense(q)
+    identity = expected * np.eye(_PROPERTY_CFG.dimension)
+    _assert_safe_block_equal(mp @ mq - mq @ mp, identity, mp, mq)
+
+
+@_PROPERTY_SETTINGS
+@given(_POLY, _POLY)
+def test_property_dagger_anti_homomorphism(p, q):
+    assert (p * q).dagger() == q.dagger() * p.dagger()
+    assert_allclose(_dense(p.dagger()), _dense(p).conj().T, rtol=1e-15, atol=0.0)
+    mp, mq = _dense(p), _dense(q)
+    _assert_safe_block_equal(_dense((p * q).dagger()), (mp @ mq).conj().T, mp, mq)
+
+
+_EIGHTH = st.integers(-2, 2).map(lambda n: n / 8)
+
+
+# each example exponentiates two dense 144 x 144 generators
+@settings(_PROPERTY_SETTINGS, max_examples=10)
+@given(
+    st.lists(_EIGHTH, min_size=5, max_size=5), st.lists(_COEFF, min_size=5, max_size=5)
+)
+def test_property_conjugation_matches_oracle(x_parts, c):
+    # X = sum_i (xi_i a_i^dag - conj(xi_i) a_i) + i theta is anti-Hermitian
+    # and has a central commutator with any degree-1 Y; with |xi_i| <= 0.36
+    # the truncation at 12 is invisible on occupations <= 2
+    xi0, xi1 = complex(*x_parts[:2]), complex(*x_parts[2:4])
+    x = (
+        xi0 * ad(0) - xi0.conjugate() * a(0)
+        + xi1 * ad(1) - xi1.conjugate() * a(1)
+        + OP.scalar(1j * x_parts[4])
+    )
+    y = c[0] * a(0) + c[1] * ad(0) + c[2] * a(1) + c[3] * ad(1) + OP.scalar(c[4])
+    cfg = FockOracleConfig(modes=(0, 1), truncations=12)
+    interior = np.ix_(*[[n0 * 12 + n1 for n0 in range(3) for n1 in range(3)]] * 2)
+    scale = np.max(np.abs(fock_matrix(y, cfg)[interior]))
+    pairs = [
+        (adjoint_action(x, y), x),
+        # Y + s [X, Y] is linear in s, so its flow average is the midpoint
+        (time_derivative_conjugation(x, y), 0.5 * x),
+    ]
+    for closed, exponent in pairs:
+        oracle = fock_adjoint_oracle(exponent, y, cfg)
+        deviation = np.abs(fock_matrix(closed, cfg) - oracle)[interior]
+        assert np.max(deviation) <= 1e-10 * scale

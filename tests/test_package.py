@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,6 +21,27 @@ def test_package_exports_every_library_name(module_name):
     assert not missing, f"{module_name} names missing from dipolegauge.__all__"
     for name in module.__all__:
         assert getattr(dipolegauge, name) is getattr(module, name)
+
+
+def test_every_traced_name_exists(monkeypatch):
+    # bench/tracing.py wraps library functions by module and name; a rename
+    # or deletion in src/ would otherwise surface only in a --trace run
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", REPO / "bench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file executes
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    names = [
+        (module, name)
+        for _, module, functions, _ in tracing.SPANS
+        for name in functions
+    ]
+    names.append(("coulomb_path", "dipole_kernel"))
+    for module_name, name in names:
+        module = importlib.import_module(f"dipolegauge.{module_name}")
+        assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
 @pytest.mark.parametrize(
