@@ -11,12 +11,19 @@ like one over the endpoint distance squared.
 
 Both evaluation routes are provided: adaptive quadrature of the kernel along
 the polyline, and the exact endpoint antiderivative that serves as its test
-oracle.  All functions are pure; segment quadratures are accumulated in path
-order, so results are deterministic.
+oracle.  The quadrature is QUADPACK's globally adaptive Gauss-Kronrod
+21-point (GK21) rule with the bisection order and stop rule of scipy's
+adaptive vector quadrature (scipy.integrate), reproduced in numpy so that
+each round's nodes go to the kernel in one call while every result equals
+scipy's bit for bit.  All functions are pure; segment quadratures are
+accumulated in path order, so results are deterministic.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,18 +130,176 @@ def coulomb_field(r, q: float, units: UnitSystem = NATURAL) -> np.ndarray:
     return (float(q) / (4.0 * np.pi * units.epsilon0 * dist**3)) * r
 
 
+def _norm2(x: np.ndarray) -> np.ndarray:
+    """Row-wise 2-norm, equal bit for bit to np.linalg.norm of each row."""
+    return np.sqrt(np.vecdot(x, x))
+
+
 def dipole_kernel(rho) -> np.ndarray:
     """Jacobian matrix of rho / |rho|^3, i.e. (delta - 3 rhohat rhohat^T) / |rho|^3.
 
     This dimensionless core is what the line-integral integrand contracts with
     the path element; being a gradient is exactly why the integral telescopes.
+
+    rho is one 3-vector or a stack of them, shape (..., 3); the result has
+    shape (..., 3, 3).  Every matrix has the bits of the single-vector
+    formula: |rho| as np.linalg.norm forms it, and |rho|^3 by the C library's
+    pow, as for a Python float.
     """
-    rho = as_vec3(rho, "rho")
-    dist = float(np.linalg.norm(rho))
-    if dist == 0.0:
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim == 0 or rho.shape[-1] != 3:
+        raise ValueError(
+            f"rho must be a 3-vector or a stack of them, got shape {rho.shape}"
+        )
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(f"rho must have finite components, got {rho}")
+    dist = _norm2(rho)
+    if np.any(dist == 0.0):
         raise DegenerateSeparationError("kernel is singular at zero separation")
-    rhohat = rho / dist
-    return (np.eye(3) - 3.0 * np.outer(rhohat, rhohat)) / dist**3
+    rhohat = rho / dist[..., None]
+    cube = np.array([d**3 for d in dist.ravel().tolist()]).reshape(dist.shape)
+    outer = rhohat[..., :, None] * rhohat[..., None, :]
+    return (np.eye(3) - 3.0 * outer) / cube[..., None, None]
+
+
+# QUADPACK's Gauss-Kronrod 21-point rule on [-1, 1] (Piessens et al. 1983),
+# symmetric about 0: the Kronrod nodes from the right end to the centre, their
+# weights, and the weights of the embedded 10-point Gauss rule, whose nodes
+# are the odd-indexed Kronrod nodes.
+_GK21_RIGHT_NODES = np.array([
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+])
+_GK21_RIGHT_KRONROD = np.array([
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_GK21_RIGHT_GAUSS = np.array([
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GK21_NODES = np.concatenate([_GK21_RIGHT_NODES, -_GK21_RIGHT_NODES[-2::-1]])
+_GK21_KRONROD_WEIGHTS = np.concatenate(
+    [_GK21_RIGHT_KRONROD, _GK21_RIGHT_KRONROD[-2::-1]]
+)
+_GK21_GAUSS_WEIGHTS = np.concatenate([_GK21_RIGHT_GAUSS, _GK21_RIGHT_GAUSS[::-1]])
+_QUAD_EPSABS = 1e-14
+_QUAD_LIMIT = 10000  # most subintervals before the loop gives up
+_QUAD_BATCH = 128  # most subintervals bisected per round
+
+
+def _node_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * values[:, i], added from 0.0 in node order."""
+    terms = weights[:, None] * values
+    padded = np.concatenate([np.zeros_like(terms[:, :1]), terms], axis=1)
+    return np.add.accumulate(padded, axis=1)[:, -1]
+
+
+def _gk21(lo: np.ndarray, hi: np.ndarray, integrand):
+    """GK21 integral, error and rounding-error estimates on each [lo[j], hi[j]].
+
+    All 21 nodes of every interval go to the integrand in one call, as an
+    (n, 21) array; it returns (n, 21, 3).  The error estimate is QUADPACK's:
+    the Kronrod-Gauss difference rescaled by the integral of the deviation
+    from the mean, and never below the rounding error.
+    """
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    values = integrand(centre[:, None] + half[:, None] * _GK21_NODES)
+    kronrod = _node_sum(_GK21_KRONROD_WEIGHTS, values)
+    gauss = _node_sum(_GK21_GAUSS_WEIGHTS, values[:, 1::2])
+    abs_sum = _node_sum(_GK21_KRONROD_WEIGHTS, np.abs(values))
+    deviation = np.abs(values - (kronrod / 2.0)[:, None])
+    dev_sum = _node_sum(_GK21_KRONROD_WEIGHTS, deviation)
+    diffs = _norm2((kronrod - gauss) * half[:, None]).tolist()
+    devs = _norm2(dev_sum * half[:, None]).tolist()
+    rounds = _norm2((50 * sys.float_info.epsilon * half)[:, None] * abs_sum).tolist()
+    errs = []
+    # scalar float arithmetic: the C library's pow, as QUADPACK's loop uses
+    for err, dev, rnd in zip(diffs, devs, rounds):
+        if dev != 0 and err != 0:
+            err = dev * min(1.0, (200 * err / dev) ** 1.5)
+        if rnd > sys.float_info.min:
+            err = max(err, rnd)
+        errs.append(err)
+    return half[:, None] * kronrod, errs, rounds
+
+
+def _integrate_unit_interval(integrand, epsrel: float) -> np.ndarray:
+    """Integral over [0, 1] by globally adaptive GK21 bisection.
+
+    This is the loop of scipy.integrate's adaptive vector quadrature for a
+    finite interval with the GK21 rule, norm='2', epsabs=_QUAD_EPSABS and
+    limit=_QUAD_LIMIT, step for step, so the result is the same to the last
+    bit.  Subintervals sit in a heap keyed (-error, lo, hi).  Each round
+    bisects up to _QUAD_BATCH of the worst while their summed error stays
+    within the global error less tol / 8, and updates the totals interval by
+    interval in pop order.  The loop stops when the global error is below
+    tol / 8 with at least two subintervals, or below the accumulated rounding
+    error, or is no longer finite.
+    """
+    first, errs, rounds = _gk21(np.array([0.0]), np.array([1.0]), integrand)
+    total = first[0].copy()
+    global_error, rounding_error = errs[0], rounds[0]
+    estimates = {(0.0, 1.0): first[0]}
+    heap = [(-errs[0], 0.0, 1.0)]
+    while heap and len(heap) < _QUAD_LIMIT:
+        tol = max(_QUAD_EPSABS, epsrel * _norm2(total))
+        popped = []
+        err_sum = 0.0
+        while heap and len(popped) < _QUAD_BATCH:
+            if popped and err_sum > global_error - tol / 8:
+                break
+            neg_err, lo, hi = heapq.heappop(heap)
+            # keys are unique while midpoints fall strictly inside their
+            # intervals; the rounding-error stop comes long before that fails
+            popped.append((-neg_err, lo, hi, estimates.pop((lo, hi))))
+            err_sum += -neg_err
+        lo = np.array([p[1] for p in popped])
+        hi = np.array([p[2] for p in popped])
+        mid = 0.5 * (lo + hi)
+        halves, errs, rounds = _gk21(
+            np.concatenate([lo, mid]), np.concatenate([mid, hi]), integrand
+        )
+        n = len(popped)
+        for k, (old_err, a, b, old) in enumerate(popped):
+            c = mid[k].item()
+            left, right = halves[k], halves[n + k]
+            total += left + right - old
+            global_error += errs[k] + errs[n + k] - old_err
+            rounding_error += rounds[k] + rounds[n + k]
+            estimates[(a, c)] = left
+            estimates[(c, b)] = right
+            heapq.heappush(heap, (-errs[k], a, c))
+            heapq.heappush(heap, (-errs[n + k], c, b))
+        if len(heap) >= 2:
+            tol = max(_QUAD_EPSABS, epsrel * _norm2(total))
+            if global_error < tol / 8 or global_error < rounding_error:
+                break
+        if not (math.isfinite(global_error) and math.isfinite(rounding_error)):
+            break
+    return total
 
 
 def _segment_clearance(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> float:
@@ -166,9 +331,13 @@ def commutator_line_integral(
     """Commutator of the line-integral gauge exponent with the field at r.
 
     Integrates -(q / (4 pi eps0)) dipole_kernel(s - r) . ds along the polyline
-    by adaptive quadrature, one segment at a time in path order.  The expected
-    value is minus the Coulomb field of the charge, short of the endpoint
-    truncation term.
+    by adaptive GK21 quadrature, one segment at a time in path order.  Each
+    segment stops by the rule of scipy.integrate's adaptive vector quadrature
+    (global error below tol / 8 with tol = max(1e-14, quad_epsrel |integral|),
+    or below the accumulated rounding error), and its value equals scipy's
+    with norm='2', epsabs=1e-14 and epsrel=quad_epsrel bit for bit.  The
+    expected value is minus the Coulomb field of the charge, short of the
+    endpoint truncation term.
 
     The result is also the c-number correction, transformed minus original
     field operator at r.  Field operators conjugate by the full adjoint, so
@@ -201,19 +370,15 @@ def commutator_line_integral(
     _check_clearance(path, r, exclusion_radius)
     if path.charge == 0.0:
         return np.zeros(3)
-    # Deferred: scipy.integrate dominates import time; only coulomb-path uses it.
-    from scipy.integrate import quad_vec
-
     total = np.zeros(3)
     for i in range(path.num_segments):
         a = path.vertices[i]
         seg = path.vertices[i + 1] - a
 
         def integrand(u, a=a, seg=seg):
-            return dipole_kernel(a + u * seg - r) @ seg
+            return dipole_kernel(a + u[..., None] * seg - r) @ seg
 
-        value, _ = quad_vec(integrand, 0.0, 1.0, epsrel=quad_epsrel, epsabs=1e-14)
-        total += value
+        total += _integrate_unit_interval(integrand, quad_epsrel)
     return -path.charge / (4.0 * np.pi * units.epsilon0) * total
 
 

@@ -61,6 +61,16 @@ def _remove_counts(modes: tuple[int, ...], removed: Counter) -> tuple[int, ...]:
 def _mono_mul(m1: Monomial, m2: Monomial) -> dict[Monomial, float]:
     """Normal-ordered expansion of the monomial product m1 * m2.
 
+    The uncontracted term, all creators then all annihilators, has weight 1;
+    the contracted terms follow from _contractions.
+    """
+    full = (_merge_sorted(m1[0], m2[0]), _merge_sorted(m1[1], m2[1]))
+    return {full: 1.0, **_contractions(m1, m2)}
+
+
+def _contractions(m1: Monomial, m2: Monomial) -> dict[Monomial, float]:
+    """Terms of the normal-ordered product m1 * m2 with at least one contraction.
+
     Only the annihilators of m1 meeting the creators of m2 need reordering.
     For each shared mode with p annihilators on the left and q creators on the
     right, commuting them through contributes j! C(p, j) C(q, j) for every
@@ -70,14 +80,11 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> dict[Monomial, float]:
     cre1, ann1 = m1
     cre2, ann2 = m2
     if not ann1 or not cre2:
-        return {(_merge_sorted(cre1, cre2), _merge_sorted(ann1, ann2)): 1.0}
+        return {}
 
     # dominant case in the large generators: one annihilator against one creator
     if len(ann1) == 1 and len(cre2) == 1:
-        full = (_merge_sorted(cre1, cre2), _merge_sorted(ann1, ann2))
-        if ann1[0] != cre2[0]:
-            return {full: 1.0}
-        return {full: 1.0, (cre1, ann2): 1.0}
+        return {(cre1, ann2): 1.0} if ann1[0] == cre2[0] else {}
 
     ann_counts = Counter(ann1)
     cre_counts = Counter(cre2)
@@ -100,6 +107,8 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> dict[Monomial, float]:
             weight *= w
             if j:
                 contracted[mode] = j
+        if not contracted:
+            continue
         cre = _merge_sorted(cre1, _remove_counts(cre2, contracted))
         ann = _merge_sorted(_remove_counts(ann1, contracted), ann2)
         key = (cre, ann)
@@ -287,7 +296,9 @@ def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomi
     Terms of Q are indexed by the modes they touch so each term of P is paired
     only with candidates it can fail to commute with; monomial pairs with no
     mode shared between annihilators and creators cancel identically and are
-    never expanded.  For two degree-1 polynomials over n channels this costs
+    never expanded.  The other pairs contribute only their contracted terms:
+    the uncontracted term is the same monomial with weight 1 in PQ and in QP,
+    so it cancels.  For two degree-1 polynomials over n channels this costs
     O(n) rather than O(n^2), for small-algebra checks, ``bch-check`` and the
     Fock oracle; lattice-sized field shifts contract the A-E kernel in gauge_dipole.
     """
@@ -316,9 +327,9 @@ def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomi
                 candidates[mono_q] = None
         for mono_q in candidates:
             scale = coeff_p * q_terms[mono_q]
-            for mono, weight in _mono_mul(mono_p, mono_q).items():
+            for mono, weight in _contractions(mono_p, mono_q).items():
                 out[mono] = out.get(mono, 0j) + scale * weight
-            for mono, weight in _mono_mul(mono_q, mono_p).items():
+            for mono, weight in _contractions(mono_q, mono_p).items():
                 out[mono] = out.get(mono, 0j) - scale * weight
     return OperatorPolynomial._from_canonical(out)
 

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from dipolegauge import (
     ChargePath,
+    DegenerateSeparationError,
     PathSingularityError,
     UnitSystem,
     commutator_line_integral,
@@ -98,6 +99,39 @@ def test_dipole_kernel_is_gradient_of_coulomb_profile(rng):
         assert np.abs(kern - jac).max() < 1e-6 * np.abs(kern).max()
 
 
+def _single_row_kernel(rho):
+    # dipole_kernel as it was before it took stacks: one row, float norm and pow
+    dist = float(np.linalg.norm(rho))
+    rhohat = rho / dist
+    return (np.eye(3) - 3.0 * np.outer(rhohat, rhohat)) / dist**3
+
+
+def test_dipole_kernel_stack_equals_row_calls(rng):
+    rho = rng.normal(size=(4, 5, 3)) * 10.0 ** rng.uniform(-3, 2, size=(4, 5, 1))
+    stacked = dipole_kernel(rho)
+    assert stacked.shape == (4, 5, 3, 3)
+    for idx in np.ndindex(4, 5):
+        row = dipole_kernel(rho[idx])
+        assert row.shape == (3, 3)
+        assert np.array_equal(stacked[idx], row)
+        assert np.array_equal(row, _single_row_kernel(rho[idx]))
+    assert dipole_kernel(rho[0]).shape == (5, 3, 3)
+
+
+def test_dipole_kernel_rejects_zero_rows_and_bad_shapes(rng):
+    rho = rng.normal(size=(6, 3))
+    rho[4] = 0.0
+    with pytest.raises(DegenerateSeparationError, match="zero separation"):
+        dipole_kernel(rho)
+    with pytest.raises(DegenerateSeparationError):
+        dipole_kernel([0.0, 0.0, 0.0])
+    for shape in [(), (2,), (4,), (5, 2), (3, 0)]:
+        with pytest.raises(ValueError, match="3-vector"):
+            dipole_kernel(np.ones(shape))
+    with pytest.raises(ValueError, match="finite"):
+        dipole_kernel([[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0]])
+
+
 # --- the line integral ------------------------------------------------------
 
 
@@ -108,6 +142,51 @@ def test_quad_matches_endpoint_formula():
         closed = line_integral_endpoint(path, R_PROBE)
         scale = np.linalg.norm(closed)
         assert np.linalg.norm(quad - closed) < 1e-12 * scale
+
+
+def _quad_vec_line_integral(path, r, epsrel):
+    # the line integral as computed with scipy's quad_vec, one scalar node per
+    # kernel call, segment by segment in path order
+    from scipy.integrate import quad_vec
+
+    total = np.zeros(3)
+    for i in range(path.num_segments):
+        a = path.vertices[i]
+        seg = path.vertices[i + 1] - a
+
+        def integrand(u, a=a, seg=seg):
+            return _single_row_kernel(a + u * seg - r) @ seg
+
+        value, _ = quad_vec(integrand, 0.0, 1.0, epsrel=epsrel, epsabs=1e-14)
+        total += value
+    return -path.charge / (4.0 * np.pi * UnitSystem().epsilon0) * total
+
+
+@pytest.mark.parametrize("epsrel", [1e-6, 1e-9, 1e-12, 1e-16])
+def test_quadrature_equals_quad_vec_bit_for_bit(epsrel):
+    # clearances 1e-3..1 and lengths 0.05..200; epsrel = 1e-16 ends by the
+    # rounding-error stop rather than the tolerance
+    rng = np.random.default_rng(int(-np.log10(epsrel)))
+    cases = []
+    for _ in range(4):
+        length = 10.0 ** rng.uniform(np.log10(0.05), np.log10(200.0))
+        clearance = 10.0 ** rng.uniform(-3.0, 0.0)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        normal = np.cross(direction, rng.normal(size=3))
+        normal /= np.linalg.norm(normal)
+        end = length * direction
+        r = rng.uniform(0.0, 1.0) * end + clearance * normal
+        cases.append((ChargePath(vertices=[np.zeros(3), end], charge=1.7), r))
+    r = rng.normal(size=3)
+    cases.append((straight_path(r, endpoint_factor=40.0, charge=-0.6), r))
+    cases.append((staircase_path(r, endpoint_factor=40.0, charge=-0.6), r))
+    corners = np.vstack([np.zeros(3), rng.uniform(-3.0, 3.0, size=(3, 3))])
+    r = rng.uniform(-3.0, 3.0, size=3)
+    cases.append((ChargePath(vertices=corners, charge=2.5), r))
+    for path, r in cases:
+        computed = commutator_line_integral(path, r, quad_epsrel=epsrel)
+        assert np.array_equal(computed, _quad_vec_line_integral(path, r, epsrel))
 
 
 def test_recovery_of_coulomb_field():
