@@ -10,6 +10,15 @@ for them.  Summing coefficient products over modes gives the equal-time
 commutator of the two fields, which converges (away from contact) to the
 closed-form dipole-kernel tensor provided by :func:`analytic_dipole_tensor`.
 
+Every regulated mode sum of the library (the A-E commutator kernel, the pair
+energies, the self energy and the field shift) has a summand even in k: the
+cosine of k times a separation, the projector 1 - khat khat^T and the Gaussian
+weight all are.  The lattice stores -k of mode i at index M - 1 - i, so these
+sums run over the representative half, the first M // 2 modes, and double the
+result, which is exact.  The lattice itself keeps all M modes, because every
+operator mode is needed by the coefficient blocks and the exact-algebra
+generators built on them.
+
 All functions here are pure and treat their array inputs as immutable.  Mode
 sums are numpy reductions and small BLAS matrix products (the khat contraction
 of :func:`commutator_ae_modesum`, the pair Gram matrix of
@@ -62,7 +71,11 @@ class ModeLattice:
     The integer vectors n range over max|n_i| <= half_extent with n = 0
     excluded (the zero mode has no transverse content).  Modes are ordered
     lexicographically in (n_x, n_y, n_z) and the arrays are read-only, so any
-    sum over modes is reproducible bit for bit.
+    sum over modes is reproducible bit for bit.  The number of modes M is
+    even, and mode M - 1 - i is the negation of mode i: ``nvecs[M // 2:]`` and
+    ``kvecs[M // 2:]`` equal the negated, reversed first halves exactly and
+    ``knorm[M // 2:]`` equals the reversed first half, which lets every mode
+    sum even in k run over the first M // 2 modes.
 
     Attributes
     ----------
@@ -121,7 +134,11 @@ def build_mode_lattice(
     """
     if not (box_length > 0.0) or not np.isfinite(box_length):
         raise ValueError(f"box_length must be finite and positive, got {box_length}")
-    if not isinstance(half_extent, (int, np.integer)) or half_extent < 1:
+    if (
+        isinstance(half_extent, bool)
+        or not isinstance(half_extent, (int, np.integer))
+        or half_extent < 1
+    ):
         raise ValueError(f"half_extent must be an integer >= 1, got {half_extent}")
     if not isinstance(units, UnitSystem):
         raise ValueError("units must be a UnitSystem instance")
@@ -168,7 +185,24 @@ def regulator_weights(lattice: ModeLattice, sigma: float) -> np.ndarray:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return np.ones(lattice.num_modes)
-    return np.exp(-((lattice.knorm * sigma) ** 2))
+    return _gaussian_weights(lattice.knorm, sigma)
+
+
+def _gaussian_weights(knorm: np.ndarray, sigma: float) -> np.ndarray:
+    return np.exp(-((knorm * sigma) ** 2))
+
+
+def _half_modes(lattice: ModeLattice, sigma: float):
+    """Wavevectors, unit vectors and regulator weights of the first M // 2 modes.
+
+    Mode M - 1 - i is the negation of mode i (see :class:`ModeLattice`), so a
+    mode sum whose summand is even in k equals twice its sum over these rows.
+    Callers check sigma > 0 first.
+    """
+    half = lattice.num_modes // 2
+    kvecs = lattice.kvecs[:half]
+    knorm = lattice.knorm[:half]
+    return kvecs, kvecs / knorm[:, None], _gaussian_weights(knorm, sigma)
 
 
 def _field_amplitudes(lattice: ModeLattice) -> np.ndarray:
@@ -255,8 +289,9 @@ def commutator_ae_modesum(lattice: ModeLattice, R, Rp, sigma: float) -> np.ndarr
     Contracting the coefficient blocks with the canonical commutation
     relations leaves, per mode, the purely imaginary tensor
     ``-i (hbar / (eps0 V)) cos(k . (R - R')) (1 - khat khat^T)``, damped here
-    by the Gaussian regulator weight for ``sigma``.  Within the window
-    sigma << |R - R'| << box_length the sum approaches
+    by the Gaussian regulator weight for ``sigma``.  The summand is even in
+    k, so the sum runs over the first M // 2 modes and is doubled.  Within
+    the window sigma << |R - R'| << box_length the sum approaches
     :func:`analytic_dipole_tensor` of the separation.
 
     Parameters
@@ -280,12 +315,12 @@ def commutator_ae_modesum(lattice: ModeLattice, R, Rp, sigma: float) -> np.ndarr
             "not represented by this mode sum"
         )
     _require_regulator(sigma)
-    weights = regulator_weights(lattice, sigma) * np.cos(lattice.kvecs @ rho)
-    khat = lattice.kvecs / lattice.knorm[:, None]
+    kvecs, khat, weights = _half_modes(lattice, sigma)
+    weights = weights * np.cos(kvecs @ rho)
     # sum_k w_k (1 - khat khat^T) without the (M, 3, 3) projector stack
     tensor = np.sum(weights) * np.eye(3) - khat.T @ (weights[:, None] * khat)
     u = lattice.units
-    return -1j * (u.hbar / (u.epsilon0 * lattice.volume)) * tensor
+    return -2j * (u.hbar / (u.epsilon0 * lattice.volume)) * tensor
 
 
 def analytic_dipole_tensor(rho, units: UnitSystem = NATURAL) -> np.ndarray:

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DegenerateSeparationError
 from .field_modes import (
     ModeLattice,
+    _half_modes,
     _require_regulator,
     as_vec3,
     commutator_ae_modesum,
@@ -307,7 +308,8 @@ def pair_energies_from_commutator(
     -G[q, p] / (eps0 V) with G = Re(V V^H) over the flattened (mode, channel)
     axis of V[q, k, :] = sqrt(w_k) e^{i k . R_q} P_k d_q.  G is accumulated
     over chunks of modes, as the cosine and sine parts of V, so no (M, 3, 3)
-    projector stack is built; hbar cancels and never enters.
+    projector stack is built; hbar cancels and never enters.  The summand is
+    even in k, so G runs over the first M // 2 modes and is doubled.
 
     Returns a dict keyed (q, qp) with q > qp, in the order of
     :attr:`TransformReport.pair_energies`; empty for fewer than two dipoles.
@@ -321,22 +323,22 @@ def pair_energies_from_commutator(
         return {}
     moments = np.array([dip.moment for dip in config.dipoles])
     positions = np.array([dip.position for dip in config.dipoles])
-    root_w = np.sqrt(regulator_weights(lattice, sigma))
+    kvecs, khat, weights = _half_modes(lattice, sigma)
+    root_w = np.sqrt(weights)
     chunk = max(1, _GRAM_CHUNK_BYTES // (3 * n * 16))
     gram = np.zeros((n, n))
-    for start in range(0, lattice.num_modes, chunk):
+    for start in range(0, len(kvecs), chunk):
         window = slice(start, start + chunk)
-        kvecs = lattice.kvecs[window]
-        khat = kvecs / lattice.knorm[window, None]
+        unit = khat[window]
         # (n, m, 3) transverse parts P_k d_q
-        transverse = moments[:, None, :] - (moments @ khat.T)[:, :, None] * khat
-        phase = positions @ kvecs.T
+        transverse = moments[:, None, :] - (moments @ unit.T)[:, :, None] * unit
+        phase = positions @ kvecs[window].T
         for part in (np.cos(phase), np.sin(phase)):
             block = ((root_w[window] * part)[:, :, None] * transverse).reshape(n, -1)
             gram += block @ block.T
     u = lattice.units
     return {
-        (q, qp): float(-gram[q, qp] / (u.epsilon0 * lattice.volume))
+        (q, qp): float(-2.0 * gram[q, qp] / (u.epsilon0 * lattice.volume))
         for q in range(n)
         for qp in range(q)
     }
@@ -349,15 +351,15 @@ def epsilon_self_regularized(d, lattice: ModeLattice, sigma: float) -> float:
     the Gaussian-regulated kernel at zero separation:
     -(1 / (2 eps0 V)) sum_k w_k (|d|^2 - (d . khat)^2).  Finite for any
     sigma > 0 and divergent like 1/sigma^3 as sigma -> 0, which is the
-    mode-sum form of the unregulated singularity.
+    mode-sum form of the unregulated singularity.  The summand is even in k,
+    so the sum runs over the first M // 2 modes and is doubled.
     """
     d = as_vec3(d, "d")
     _require_regulator(sigma)
-    weights = regulator_weights(lattice, sigma)
-    khat_dot_d = (lattice.kvecs @ d) / lattice.knorm
-    transverse_dd = float(d @ d) - khat_dot_d**2
+    _, khat, weights = _half_modes(lattice, sigma)
+    transverse_dd = float(d @ d) - (khat @ d) ** 2
     u = lattice.units
-    return float(-0.5 / (u.epsilon0 * lattice.volume) * np.sum(weights * transverse_dd))
+    return float(-1.0 / (u.epsilon0 * lattice.volume) * np.sum(weights * transverse_dd))
 
 
 def _field_point(config: DipoleConfig, R) -> np.ndarray:
@@ -392,8 +394,11 @@ def field_shift_from_commutator(
     shift is its negation.  With X = -(i/hbar) sum_q d_q . A(R_q) and every
     [A_l(R_q), E_j(R)] the c-number K_q[l, j] of
     ``commutator_ae_modesum(lattice, R_q, R, sigma)``, the shift is
-    (i/hbar) sum_q d_q . K_q: no operator or coefficient tensor is built and
-    no absolute cut applies.  Commuting :func:`build_gm_generator` with
+    (i/hbar) sum_q d_q . K_q = (1 / (eps0 V)) sum_k w_k P_k s_k with
+    s_k = sum_q cos(k . (R_q - R)) d_q, contracted for every dipole in one
+    pass over the first M // 2 modes and doubled (the summand is even in k).
+    No operator or coefficient tensor is built, hbar cancels, and no absolute
+    cut applies.  Commuting :func:`build_gm_generator` with
     :func:`field_component_generator` is an independent route to the same
     scalars.  Agreement with the closed form holds in the same validity
     window as the commutator kernel itself.
@@ -401,11 +406,13 @@ def field_shift_from_commutator(
     _require_matching_units(config, lattice)
     _require_regulator(sigma)
     R = _field_point(config, R)
-    shift = np.zeros(3)
-    for dip in config.dipoles:
-        kernel = commutator_ae_modesum(lattice, dip.position, R, sigma)
-        shift += ((1j / config.units.hbar) * (dip.moment @ kernel)).real
-    return shift
+    moments = np.array([dip.moment for dip in config.dipoles]).reshape(-1, 3)
+    offsets = np.array([dip.position - R for dip in config.dipoles]).reshape(-1, 3)
+    kvecs, khat, weights = _half_modes(lattice, sigma)
+    # (M // 2, 3) rows w_k s_k, then sum_k P_k w_k s_k
+    weighted = weights[:, None] * (np.cos(kvecs @ offsets.T) @ moments)
+    total = np.sum(weighted, axis=0) - khat.T @ np.sum(khat * weighted, axis=1)
+    return 2.0 / (lattice.units.epsilon0 * lattice.volume) * total
 
 
 def transform_report(
@@ -415,16 +422,16 @@ def transform_report(
 
     The summed :func:`epsilon_self_regularized` is linear in
     D = sum_q d_q d_q^T, so it takes one mode pass for all dipoles:
-    (1 / (2 eps0 V)) sum_k w_k (khat^T D khat - tr D).
+    (1 / (2 eps0 V)) sum_k w_k (khat^T D khat - tr D), even in k and so
+    summed over the first M // 2 modes and doubled.
     """
     _require_matching_units(config, lattice)
     _require_regulator(sigma)
     base = pairwise_interaction(config)
     moments = np.array([dip.moment for dip in config.dipoles]).reshape(-1, 3)
     dd = moments.T @ moments
-    khat = lattice.kvecs / lattice.knorm[:, None]
+    _, khat, weights = _half_modes(lattice, sigma)
     longitudinal_dd = np.sum((khat @ dd) * khat, axis=1)
-    weights = regulator_weights(lattice, sigma)
-    scale = 0.5 / (lattice.units.epsilon0 * lattice.volume)
+    scale = 1.0 / (lattice.units.epsilon0 * lattice.volume)
     self_energy = scale * np.sum(weights * (longitudinal_dd - np.trace(dd)))
     return replace(base, self_energy=float(self_energy), regulator_sigma=float(sigma))

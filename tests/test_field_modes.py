@@ -45,7 +45,22 @@ def test_arrays_read_only():
         lat.kvecs[0, 0] = 5.0
 
 
-@pytest.mark.parametrize("args", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, 2.5)])
+def test_modes_pair_with_their_negations():
+    # mode M - 1 - i is -k of mode i, bit for bit: the even mode sums run over
+    # the first half and double it
+    for extent in (1, 2, 8, 24):
+        lat = build_mode_lattice(1.0, extent)
+        half = lat.num_modes // 2
+        assert lat.num_modes == 2 * half
+        assert np.array_equal(lat.nvecs[half:], -lat.nvecs[:half][::-1])
+        assert np.array_equal(lat.kvecs[half:], -lat.kvecs[:half][::-1])
+        assert np.array_equal(lat.knorm[half:], lat.knorm[:half][::-1])
+
+
+# True is an int to isinstance, and would silently build the N = 1 lattice
+@pytest.mark.parametrize(
+    "args", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, 2.5), (1.0, True)]
+)
 def test_invalid_lattice_args(args):
     with pytest.raises(ValueError):
         build_mode_lattice(*args)

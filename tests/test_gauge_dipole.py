@@ -28,6 +28,7 @@ from dipolegauge import (
     pair_energies_from_commutator,
     pairwise_interaction,
     transform_report,
+    transverse_projectors,
     vector_potential_coeffs,
 )
 from conftest import random_rotation
@@ -410,6 +411,86 @@ def test_pair_energies_batched_edge_cases(lattice4, lattice8, rng):
     cfg = random_config(rng, 5)
     assert pair_energies_from_commutator(cfg, lattice4, 0.04) == (
         pair_energies_from_commutator(cfg, lattice4, 0.04)
+    )
+
+
+def _full_lattice_sums(lattice, offsets, sigma):
+    # sum_k w_k cos(k . rho) P_k over all M modes for each separation rho,
+    # from the explicit (M, 3, 3) projector stack, as (len(offsets), 3, 3)
+    weights = np.exp(-((lattice.knorm * sigma) ** 2))
+    cosines = np.cos(np.asarray(offsets) @ lattice.kvecs.T)
+    return np.einsum("k,nk,kjl->njl", weights, cosines, transverse_projectors(lattice))
+
+
+@pytest.mark.parametrize(
+    "lattice_name, sigma, scales",
+    [
+        ("lattice4", 0.04, None),
+        ("lattice8", 0.03, None),
+        ("lattice8", 0.3, None),
+        ("rescaled", 0.04, (1e-34, 1e-11, 1e8, 1e-16)),
+    ],
+)
+def test_half_lattice_routes_match_full_lattice_oracle(
+    request, lattice_name, sigma, scales
+):
+    # every even mode sum runs over half of the lattice; the oracle sums over
+    # all M modes and shares no code with it
+    units, moment_scale = UnitSystem(), 1.0
+    if scales is not None:
+        hbar, eps0, c, moment_scale = scales
+        units = UnitSystem(hbar=hbar, epsilon0=eps0, c=c)
+        lattice = build_mode_lattice(1.0, 4, units)
+    else:
+        lattice = request.getfixturevalue(lattice_name)
+    rng = np.random.default_rng(900 + lattice.half_extent + int(100 * sigma))
+    cfg = DipoleConfig(
+        dipoles=tuple(
+            Dipole(rng.uniform(-0.3, 0.3, 3), moment_scale * rng.normal(size=3))
+            for _ in range(4)
+        ),
+        units=units,
+    )
+    positions = np.array([dip.position for dip in cfg.dipoles])
+    moments = np.array([dip.moment for dip in cfg.dipoles])
+    point = rng.uniform(-0.3, 0.3, 3)
+    inv_eps_v = 1.0 / (units.epsilon0 * lattice.volume)
+
+    def check(got, want):
+        want = np.asarray(want)
+        atol = 1e-12 * np.max(np.abs(want))
+        assert_allclose(got, want, rtol=1e-12, atol=atol)
+
+    kernel = _full_lattice_sums(lattice, [positions[1] - positions[0]], sigma)[0]
+    check(
+        commutator_ae_modesum(lattice, positions[1], positions[0], sigma),
+        -1j * units.hbar * inv_eps_v * kernel,
+    )
+
+    pair_sums = _full_lattice_sums(
+        lattice, (positions[:, None] - positions[None, :]).reshape(-1, 3), sigma
+    ).reshape(4, 4, 3, 3)
+    oracle = {
+        (q, p): -inv_eps_v * moments[q] @ pair_sums[q, p] @ moments[p]
+        for q in range(4)
+        for p in range(q)
+    }
+    batched = pair_energies_from_commutator(cfg, lattice, sigma)
+    assert list(batched) == list(oracle)
+    check(list(batched.values()), list(oracle.values()))
+
+    self_terms = [
+        -0.5 * inv_eps_v * moments[q] @ pair_sums[q, q] @ moments[q] for q in range(4)
+    ]
+    check(
+        [epsilon_self_regularized(d, lattice, sigma) for d in moments], self_terms
+    )
+    check(transform_report(cfg, lattice, sigma).self_energy, sum(self_terms))
+
+    shift_sums = _full_lattice_sums(lattice, positions - point, sigma)
+    check(
+        field_shift_from_commutator(cfg, lattice, point, sigma),
+        inv_eps_v * np.einsum("njl,nl->j", shift_sums, moments),
     )
 
 
