@@ -483,18 +483,27 @@ def fock_adjoint_oracle(
 
     X must be anti-Hermitian in its coefficient pattern so that e^(-X) is the
     conjugate transpose of e^X and the truncated conjugation stays exactly
-    unitary.  The result is the dense matrix U Y U^dag with U = expm(X); it is
-    trustworthy away from the truncation edge, which is why comparisons
-    against the closed-form identities should restrict to an interior block.
+    unitary.  The result is the dense matrix U Y U^dag with U = e^X taken
+    spectrally (``_exp_anti_hermitian``); it is trustworthy away from the
+    truncation edge, which is why comparisons against the closed-form
+    identities should restrict to an interior block.
     """
     if not x.is_anti_hermitian():
         raise ValueError(
             "oracle generator must have an anti-Hermitian coefficient pattern"
         )
-    # Deferred: scipy.linalg is slow to import and only bch-check needs it.
-    from scipy.linalg import expm
+    u = _exp_anti_hermitian(fock_matrix(x, config))
+    return u @ fock_matrix(y, config) @ u.conj().T
 
-    xm = fock_matrix(x, config)
-    ym = fock_matrix(y, config)
-    u = expm(xm)
-    return u @ ym @ u.conj().T
+
+def _exp_anti_hermitian(xm: np.ndarray) -> np.ndarray:
+    """e^X of a dense anti-Hermitian matrix, unitary by construction.
+
+    H = -iX is Hermitian: with H = V diag(w) V^dag, e^X = V diag(e^(iw)) V^dag.
+    ``eigh`` reads one triangle only, so H is first taken as (H + H^dag) / 2:
+    a rounding-level anti-Hermitian defect of X enters through its mean rather
+    than being dropped unseen, and an exactly anti-Hermitian X is unchanged.
+    """
+    h = -1j * xm
+    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return (v * np.exp(1j * w)) @ v.conj().T

@@ -16,6 +16,7 @@ from dipolegauge import (
     is_central,
     time_derivative_conjugation,
 )
+from dipolegauge.operator_algebra import _exp_anti_hermitian
 
 OP = OperatorPolynomial
 
@@ -261,6 +262,59 @@ def test_oracle_displacement_interior():
     oracle = fock_adjoint_oracle(x, y, cfg)
     closed = fock_matrix(adjoint_action(x, y), cfg)
     assert np.max(np.abs(interior(oracle, 15) - interior(closed, 15))) < 1e-9
+
+
+def _two_mode_generator():
+    # complex displacements of both modes, a rotation and a beam splitter
+    c, d, b = 0.3 - 0.7j, -0.5 + 0.2j, 0.25 + 0.4j
+    return (
+        c * ad(0) - c.conjugate() * a(0)
+        + d * ad(1) - d.conjugate() * a(1)
+        + 0.6j * ad(0) * a(0)
+        + b * ad(0) * a(1) - b.conjugate() * ad(1) * a(0)
+    )
+
+
+@pytest.mark.parametrize(
+    "x, cfg",
+    [
+        (0.1 * (ad() - a()), oracle_config(400)),
+        (1.0 * (ad() - a()), oracle_config(400)),
+        (_two_mode_generator(), FockOracleConfig(modes=(0, 1), truncations=20)),
+    ],
+    ids=["xi0.1", "xi1.0", "two-mode"],
+)
+def test_spectral_exponential_matches_expm_and_is_unitary(x, cfg):
+    from scipy.linalg import expm
+
+    xm = fock_matrix(x, cfg)
+    u = _exp_anti_hermitian(xm)
+    assert np.max(np.abs(u - expm(xm))) <= 1e-12
+    assert np.max(np.abs(u @ u.conj().T - np.eye(cfg.dimension))) <= 1e-13
+    y = a(cfg.modes[-1]) + ad(cfg.modes[-1])
+    assert_allclose(fock_adjoint_oracle(x, y, cfg), u @ fock_matrix(y, cfg) @ u.conj().T)
+
+
+@pytest.mark.parametrize("theta", [0.7, -2.3])
+def test_spectral_exponential_exact_phase(theta):
+    # H = theta n is diagonal: the eigenvectors are exact, so U is exactly
+    # diagonal, and each phase is off only by the rounding of its eigenvalue
+    n = np.arange(40)
+    u = _exp_anti_hermitian(fock_matrix(1j * theta * ad() * a(), oracle_config(40)))
+    assert np.array_equal(u, np.diag(np.diag(u)))
+    ulp = np.spacing(abs(theta) * n[-1])
+    assert_allclose(np.diag(u), np.exp(1j * theta * n), rtol=0, atol=4 * ulp)
+
+
+def test_spectral_exponential_reads_both_triangles():
+    # eigh sees one triangle; the anti-Hermitian part of the whole matrix is
+    # what must be exponentiated, so a defect in the upper triangle counts
+    from scipy.linalg import expm
+
+    xm = fock_matrix(0.4 * (ad() - a()), oracle_config(12))
+    xm[2, 5] += 1e-3 - 2e-3j
+    u = _exp_anti_hermitian(xm)
+    assert np.max(np.abs(u - expm(0.5 * (xm - xm.conj().T)))) <= 1e-13
 
 
 
