@@ -16,8 +16,8 @@ file and emit machine-readable result records:
 
 Every command takes ``--config <file>`` plus optional ``--out`` and
 ``--format csv|json``.  Exit codes: 0 all comparisons within tolerance,
-1 tolerance failure, 2 validation error.  All numeric defaults live in
-``DEFAULTS`` and ``TOLERANCES``.
+1 tolerance failure, 2 validation or output error.  All numeric defaults
+live in ``DEFAULTS`` and ``TOLERANCES``.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ __all__ = [
     "ResultRecord",
     "render_json",
     "render_csv",
-    "parse_results",
     "main",
     "entry_point",
 ]
@@ -278,18 +277,10 @@ def _parse_block(raw, table: dict, where: str, prefix: str | None = None) -> dic
     return parsed
 
 
-def _keep(value, where, parsed=None):
-    return value
-
-
-def _real(value, where, parsed=None) -> float:
+def _number(value, where, parsed=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _number(value, where, parsed=None) -> float:
-    out = _real(value, where)
+    out = float(value)
     if not np.isfinite(out):
         raise ConfigError(f"{where} must be finite, got {out}")
     return out
@@ -328,18 +319,6 @@ def _list_of(item, min_len: int = 1, max_len: float = float("inf")):
         return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
     return parse
-
-
-def _str(value, where, parsed=None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string, got {value!r}")
-    return value
-
-
-def _bool(value, where, parsed=None) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
 
 
 def _vec3(value, where, parsed=None) -> np.ndarray:
@@ -525,60 +504,6 @@ def _load_raw_config(path: str) -> tuple[dict, str]:
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()
     return raw, digest
-
-
-def _record(cls, table: dict):
-    """Parser of a ``cls.to_dict()`` object; keys that are not fields are derived."""
-
-    def parse(value, where, parsed=None):
-        fields = _parse_block(value, table, where)
-        return cls(**{k: fields[k] for k in cls.__dataclass_fields__})
-
-    return parse
-
-
-# the keys to_dict() writes; abs_error, rel_error and passed are derived
-_COMPARISON_KEYS = {
-    "name": (_str, REQUIRED),
-    "computed": (_real, REQUIRED),
-    "reference": (_real, REQUIRED),
-    "abs_error": (_keep, None),
-    "rel_error": (_keep, None),
-    "tolerance": (_real, REQUIRED),
-    "kind": (_one_of("relative", "absolute"), REQUIRED),
-    "passed": (_keep, None),
-}
-_RECORD_KEYS = {
-    "command": (_str, REQUIRED),
-    "label": (_str, REQUIRED),
-    "input_digest": (_str, REQUIRED),
-    "outputs": (_keep, REQUIRED),
-    "comparisons": (_list_of(_record(Comparison, _COMPARISON_KEYS), 0), REQUIRED),
-    "passed": (_keep, None),
-    "gates_exit": (_bool, REQUIRED),
-    "duration_seconds": (_real, REQUIRED),
-}
-_RESULT_KEYS = {
-    "schema_version": (_one_of(SCHEMA_VERSION), REQUIRED),
-    "command": (_str, REQUIRED),
-    "records": (_list_of(_record(ResultRecord, _RECORD_KEYS), 0), REQUIRED),
-}
-
-
-def parse_results(text: str) -> list[ResultRecord]:
-    """Re-parse a JSON document emitted by render_json into ResultRecords."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"result document is not valid JSON: {exc}") from exc
-    parsed = _parse_block(doc, _RESULT_KEYS, "result document")
-    for index, record in enumerate(parsed["records"]):
-        if record.command != parsed["command"]:
-            raise ConfigError(
-                f"result document.records[{index}].command {record.command!r} "
-                f"differs from the document's {parsed['command']!r}"
-            )
-    return parsed["records"]
 
 
 # Each runner below takes the validated config and yields one
@@ -956,8 +881,12 @@ def main(argv=None) -> int:
     render = render_json if fmt == "json" else render_csv
     text = render(args.command, records)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"output error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
 

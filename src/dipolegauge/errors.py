@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BchOrderViolationError",
+    "ConfigError",
+    "DegenerateSeparationError",
+    "OracleTooLargeError",
+    "PathSingularityError",
+]
+
 
 class DegenerateSeparationError(ValueError):
     """Two points that must be distinct coincide, so a 1/r^3 kernel blows up."""

@@ -37,7 +37,6 @@ from .units import NATURAL, UnitSystem
 
 __all__ = [
     "ModeLattice",
-    "FieldCoefficients",
     "as_vec3",
     "build_mode_lattice",
     "transverse_projectors",
@@ -163,7 +162,11 @@ def build_mode_lattice(
 
 
 def transverse_projectors(lattice: ModeLattice) -> np.ndarray:
-    """Projectors 1 - khat khat^T for every mode, shape (M, 3, 3)."""
+    """Projectors 1 - khat khat^T for every mode, shape (M, 3, 3).
+
+    Only the coefficient builders (``_field_coeffs``) and the tests'
+    full-lattice oracles use the stack; the mode sums contract khat directly.
+    """
     khat = lattice.kvecs / lattice.knorm[:, None]
     return np.eye(3)[None, :, :] - khat[:, :, None] * khat[:, None, :]
 
@@ -210,75 +213,33 @@ def _field_amplitudes(lattice: ModeLattice) -> np.ndarray:
     return np.sqrt(u.hbar / (2.0 * u.epsilon0 * lattice.omega * lattice.volume))
 
 
-@dataclass(frozen=True, eq=False)
-class FieldCoefficients:
-    """Mode coefficients of one Hermitian vector field evaluated at a point.
-
-    The field component j is sum over modes k and channels m of
-    ``ann[k, j, m] a_{k m} + cre[k, j, m] a_{k m}^dag``.  Channel coefficient
-    columns are transverse to k.  Only the annihilation block is stored; the
-    creation block is its complex conjugate, so the reconstructed operator is
-    Hermitian by construction.
-    """
-
-    kvecs: np.ndarray
-    position: np.ndarray
-    ann: np.ndarray
-
-    @property
-    def cre(self) -> np.ndarray:
-        """Creation block, the complex conjugate of :attr:`ann`."""
-        return np.conj(self.ann)
-
-    @property
-    def num_modes(self) -> int:
-        return self.ann.shape[0]
-
-    def validate(self, tol: float = 1e-12) -> None:
-        """Raise ValueError unless every coefficient column is transverse to k.
-
-        The max absolute k-contraction is checked against ``tol`` scaled by
-        the largest |k| times the largest coefficient magnitude.
-        """
-        scale = max(float(np.max(np.abs(self.ann))), 1e-300)
-        # k_j ann[k, j, m] = 0 for every mode and channel
-        trans = float(np.max(np.abs(np.einsum("kj,kjm->km", self.kvecs, self.ann))))
-        kscale = float(np.max(np.linalg.norm(self.kvecs, axis=1))) * scale
-        if trans > tol * kscale:
-            raise ValueError(
-                f"coefficient columns are not transverse: max k-contraction "
-                f"{trans:.3e} (scale {kscale:.3e})"
-            )
-
-
-def _field_coeffs(lattice: ModeLattice, r, factor):
+def _field_coeffs(lattice: ModeLattice, r, factor) -> np.ndarray:
     """Per-mode amplitude times ``factor`` exp(i k . r), times the transverse
-    projector columns, as the annihilation block of a field at r."""
+    projector columns, as the (M, 3, 3) annihilation block of a field at r."""
     r = as_vec3(r, "r")
     amp = _field_amplitudes(lattice)
     proj = transverse_projectors(lattice)
-    ann = (factor * amp * np.exp(1j * (lattice.kvecs @ r)))[:, None, None] * proj
-    return FieldCoefficients(
-        kvecs=lattice.kvecs, position=_read_only(r.copy()), ann=ann
-    )
+    return (factor * amp * np.exp(1j * (lattice.kvecs @ r)))[:, None, None] * proj
 
 
-def vector_potential_coeffs(lattice: ModeLattice, r) -> FieldCoefficients:
-    """Coefficients of the transverse vector potential at position r.
+def vector_potential_coeffs(lattice: ModeLattice, r) -> np.ndarray:
+    """Annihilation coefficients ``ann`` of the transverse vector potential at r.
 
-    Per mode the annihilation block is sqrt(hbar / (2 eps0 omega V))
-    exp(i k . r) times the transverse projector columns; the creation block is
-    its conjugate.
+    Field component j is the sum over modes k and channels m of
+    ``ann[k, j, m] a_{k m} + conj(ann[k, j, m]) a_{k m}^dag``, so the operator
+    is Hermitian by construction.  Per mode ``ann`` is sqrt(hbar / (2 eps0
+    omega V)) exp(i k . r) times the transverse projector, whose columns are
+    transverse to k.  Returns an (M, 3, 3) complex array.
     """
     return _field_coeffs(lattice, r, 1.0)
 
 
-def electric_field_coeffs(lattice: ModeLattice, r) -> FieldCoefficients:
-    """Coefficients of the transverse electric field at position r.
+def electric_field_coeffs(lattice: ModeLattice, r) -> np.ndarray:
+    """Annihilation coefficients of the transverse electric field at r.
 
-    Relative to the vector potential each annihilation coefficient is
-    multiplied by i omega and each creation coefficient by -i omega, which is
-    minus the free-field time derivative of the potential.
+    Relative to :func:`vector_potential_coeffs` each annihilation coefficient
+    is multiplied by i omega (so each creation coefficient by -i omega), which
+    is minus the free-field time derivative of the potential.
     """
     return _field_coeffs(lattice, r, 1j * lattice.omega)
 

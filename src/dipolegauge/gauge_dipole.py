@@ -159,7 +159,7 @@ def _dipole_form(config: DipoleConfig, lattice: ModeLattice, field_coeffs, phase
     ann = 0.0
     for dip in config.dipoles:
         coeffs = field_coeffs(lattice, dip.position)
-        ann = ann + np.einsum("j,kjm->km", dip.moment, coeffs.ann)
+        ann = ann + np.einsum("j,kjm->km", dip.moment, coeffs)
     # the moments are real, so the contracted creation block is conj(ann)
     scale = phase / config.units.hbar
     return scale * ann, scale * np.conj(ann)
@@ -200,8 +200,8 @@ def field_component_generator(
     """
     if component not in (0, 1, 2):
         raise ValueError(f"component must be 0, 1 or 2, got {component}")
-    coeffs = electric_field_coeffs(lattice, r)
-    ann = regulator_weights(lattice, sigma)[:, None] * coeffs.ann[:, component]
+    coeffs = electric_field_coeffs(lattice, r)[:, component]
+    ann = regulator_weights(lattice, sigma)[:, None] * coeffs
     return _degree_one_from_arrays(ann, np.conj(ann))
 
 

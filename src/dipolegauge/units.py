@@ -3,6 +3,8 @@
 import math
 from dataclasses import dataclass
 
+__all__ = ["UnitSystem", "NATURAL"]
+
 
 @dataclass(frozen=True)
 class UnitSystem:

@@ -243,7 +243,7 @@ def test_y_is_mode_wise_derivative_of_x(lattice4, rng):
     # sits at its (k, channel) entry of -(i/hbar) sum_q d_q . A(R_q)
     x_ann = (-1j / cfg.units.hbar) * sum(
         np.einsum(
-            "j,kjm->km", dip.moment, vector_potential_coeffs(lattice4, dip.position).ann
+            "j,kjm->km", dip.moment, vector_potential_coeffs(lattice4, dip.position)
         )
         for dip in cfg.dipoles
     )

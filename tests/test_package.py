@@ -11,7 +11,14 @@ import pytest
 import dipolegauge
 
 REPO = Path(__file__).resolve().parents[1]
-LIBRARY_MODULES = ["field_modes", "operator_algebra", "gauge_dipole", "coulomb_path"]
+LIBRARY_MODULES = [
+    "field_modes",
+    "operator_algebra",
+    "gauge_dipole",
+    "coulomb_path",
+    "errors",
+    "units",
+]
 
 
 @pytest.mark.parametrize("module_name", LIBRARY_MODULES)
