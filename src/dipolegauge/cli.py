@@ -857,6 +857,10 @@ def main(argv=None) -> int:
         records = []
         last = time.perf_counter()
         for label, outputs, comparisons, gates_exit in runner(cfg):
+            # a CSV row is keyed by (record label, comparison), so a shared
+            # label would make one row indistinguishable from another
+            if any(record.label == label for record in records):
+                raise ConfigError(f"two records would share the label {label!r}")
             now = time.perf_counter()
             records.append(
                 ResultRecord(

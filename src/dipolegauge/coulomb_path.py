@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeparationError, PathSingularityError
-from .field_modes import as_vec3
+from .field_modes import _read_only, _separation, as_vec3
 from .units import NATURAL, UnitSystem
 
 __all__ = [
@@ -74,9 +74,7 @@ class ChargePath:
         charge = float(self.charge)
         if not np.isfinite(charge):
             raise ValueError(f"charge must be finite, got {charge}")
-        vertices = vertices.copy()
-        vertices.flags.writeable = False
-        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "vertices", _read_only(vertices.copy()))
         object.__setattr__(self, "charge", charge)
 
     @property
@@ -87,8 +85,7 @@ class ChargePath:
 def _reference_endpoint(r, endpoint_factor: float) -> np.ndarray:
     """Far endpoint -endpoint_factor * r shared by both reference paths."""
     r = as_vec3(r, "r")
-    if float(np.linalg.norm(r)) == 0.0:
-        raise DegenerateSeparationError("cannot aim a reference path at r = 0")
+    _separation(r, "cannot aim a reference path at r = 0")
     if not (endpoint_factor > 0.0):
         raise ValueError(f"endpoint_factor must be > 0, got {endpoint_factor}")
     return -endpoint_factor * r
@@ -124,9 +121,7 @@ def staircase_path(r, endpoint_factor: float = 200.0, charge: float = 1.0) -> Ch
 def coulomb_field(r, q: float, units: UnitSystem = NATURAL) -> np.ndarray:
     """Electrostatic field (q / (4 pi eps0)) r / |r|^3 of a point charge at the origin."""
     r = as_vec3(r, "r")
-    dist = float(np.linalg.norm(r))
-    if dist == 0.0:
-        raise DegenerateSeparationError("Coulomb field evaluated at the charge")
+    dist = _separation(r, "Coulomb field evaluated at the charge")
     return (float(q) / (4.0 * np.pi * units.epsilon0 * dist**3)) * r
 
 
@@ -362,9 +357,7 @@ def commutator_line_integral(
         Per-segment relative quadrature tolerance.
     """
     r = as_vec3(r, "r")
-    dist = float(np.linalg.norm(r))
-    if dist == 0.0:
-        raise DegenerateSeparationError("field point must be away from the origin")
+    dist = _separation(r, "field point must be away from the origin")
     if exclusion_radius is None:
         exclusion_radius = 1e-6 * dist
     _check_clearance(path, r, exclusion_radius)
@@ -393,14 +386,11 @@ def line_integral_endpoint(
     the quadrature route is tested.
     """
     r = as_vec3(r, "r")
-    if float(np.linalg.norm(r)) == 0.0:
-        raise DegenerateSeparationError("field point must be away from the origin")
+    _separation(r, "field point must be away from the origin")
     ends = []
     for vertex in (path.vertices[0], path.vertices[-1]):
         rho = vertex - r
-        dist = float(np.linalg.norm(rho))
-        if dist == 0.0:
-            raise DegenerateSeparationError("path endpoint coincides with field point")
+        dist = _separation(rho, "path endpoint coincides with field point")
         ends.append(rho / dist**3)
     return -path.charge / (4.0 * np.pi * units.epsilon0) * (ends[1] - ends[0])
 

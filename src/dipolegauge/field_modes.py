@@ -63,18 +63,26 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _separation(rho: np.ndarray, message: str) -> float:
+    """|rho|; the one zero-separation rule of the closed forms and the kernel."""
+    dist = float(np.linalg.norm(rho))
+    if dist == 0.0:
+        raise DegenerateSeparationError(message)
+    return dist
+
+
 @dataclass(frozen=True, eq=False)
 class ModeLattice:
     """Nonzero wavevectors k = 2 pi n / L of a periodic cube of side L.
 
-    The integer vectors n range over max|n_i| <= half_extent with n = 0
-    excluded (the zero mode has no transverse content).  Modes are ordered
-    lexicographically in (n_x, n_y, n_z) and the arrays are read-only, so any
-    sum over modes is reproducible bit for bit.  The number of modes M is
-    even, and mode M - 1 - i is the negation of mode i: ``nvecs[M // 2:]`` and
-    ``kvecs[M // 2:]`` equal the negated, reversed first halves exactly and
-    ``knorm[M // 2:]`` equals the reversed first half, which lets every mode
-    sum even in k run over the first M // 2 modes.
+    The integer labels n = k L / (2 pi) range over max|n_i| <= half_extent
+    with n = 0 excluded (the zero mode has no transverse content); only k is
+    stored.  Modes are ordered lexicographically in (n_x, n_y, n_z) and the
+    arrays are read-only, so any sum over modes is reproducible bit for bit.
+    The number of modes M is even, and mode M - 1 - i is the negation of
+    mode i: ``kvecs[M // 2:]`` equals the negated, reversed first half exactly
+    and ``knorm[M // 2:]`` equals the reversed first half, which lets every
+    mode sum even in k run over the first M // 2 modes.
 
     Attributes
     ----------
@@ -84,23 +92,19 @@ class ModeLattice:
         Largest |n_i| kept in each direction.
     units : UnitSystem
         Constants used by every field amplitude built on this lattice.
-    nvecs : (M, 3) int array
-        Integer mode labels.
     kvecs : (M, 3) float array
         Wavevectors 2 pi n / L.
     knorm : (M,) float array
         |k| per mode.
-    omega : (M,) float array
-        Dispersion c |k| per mode.
+    omega : (M,) float array, property
+        Dispersion c |k| per mode, computed on each access.
     """
 
     box_length: float
     half_extent: int
     units: UnitSystem
-    nvecs: np.ndarray
     kvecs: np.ndarray
     knorm: np.ndarray
-    omega: np.ndarray
 
     @property
     def num_modes(self) -> int:
@@ -109,6 +113,10 @@ class ModeLattice:
     @property
     def volume(self) -> float:
         return self.box_length**3
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.units.c * self.knorm
 
     def __repr__(self):
         return (
@@ -142,22 +150,18 @@ def build_mode_lattice(
     if not isinstance(units, UnitSystem):
         raise ValueError("units must be a UnitSystem instance")
 
-    rng = np.arange(-half_extent, half_extent + 1)
-    # meshgrid with 'ij' indexing reshaped in C order yields lexicographic
-    # ordering in (n_x, n_y, n_z)
-    nvecs = np.array(np.meshgrid(rng, rng, rng, indexing="ij")).reshape(3, -1).T
-    nvecs = nvecs[np.any(nvecs != 0, axis=1)]
-    kvecs = (2.0 * np.pi / box_length) * nvecs.astype(float)
-    knorm = np.linalg.norm(kvecs, axis=1)
-    omega = units.c * knorm
+    axis = (2.0 * np.pi / box_length) * np.arange(-half_extent, half_extent + 1)
+    # an 'ij' meshgrid flattened in C order is lexicographic in (n_x, n_y, n_z);
+    # the zero mode is the middle row
+    grid = np.meshgrid(axis, axis, axis, indexing="ij", copy=False)
+    kvecs = np.stack(grid, axis=-1).reshape(-1, 3)
+    kvecs = np.delete(kvecs, len(kvecs) // 2, axis=0)
     return ModeLattice(
         box_length=float(box_length),
         half_extent=int(half_extent),
         units=units,
-        nvecs=_read_only(nvecs),
         kvecs=_read_only(kvecs),
-        knorm=_read_only(knorm),
-        omega=_read_only(omega),
+        knorm=_read_only(np.linalg.norm(kvecs, axis=1)),
     )
 
 
@@ -171,12 +175,6 @@ def transverse_projectors(lattice: ModeLattice) -> np.ndarray:
     return np.eye(3)[None, :, :] - khat[:, :, None] * khat[:, None, :]
 
 
-def _require_regulator(sigma: float) -> None:
-    """The one rule for every regulated mode sum: sigma finite and > 0."""
-    if not (sigma > 0.0) or not np.isfinite(sigma):
-        raise ValueError(f"regulated mode sums need a finite sigma > 0, got {sigma}")
-
-
 def regulator_weights(lattice: ModeLattice, sigma: float) -> np.ndarray:
     """Gaussian damping exp(-(|k| sigma)^2) per mode; sigma = 0 disables it.
 
@@ -186,8 +184,6 @@ def regulator_weights(lattice: ModeLattice, sigma: float) -> np.ndarray:
     """
     if sigma < 0.0 or not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if sigma == 0.0:
-        return np.ones(lattice.num_modes)
     return _gaussian_weights(lattice.knorm, sigma)
 
 
@@ -200,8 +196,10 @@ def _half_modes(lattice: ModeLattice, sigma: float):
 
     Mode M - 1 - i is the negation of mode i (see :class:`ModeLattice`), so a
     mode sum whose summand is even in k equals twice its sum over these rows.
-    Callers check sigma > 0 first.
+    This is the one rule of every regulated mode sum: sigma finite and > 0.
     """
+    if not (sigma > 0.0) or not np.isfinite(sigma):
+        raise ValueError(f"regulated mode sums need a finite sigma > 0, got {sigma}")
     half = lattice.num_modes // 2
     kvecs = lattice.kvecs[:half]
     knorm = lattice.knorm[:half]
@@ -270,12 +268,11 @@ def commutator_ae_modesum(lattice: ModeLattice, R, Rp, sigma: float) -> np.ndarr
     R = as_vec3(R, "R")
     Rp = as_vec3(Rp, "Rp")
     rho = R - Rp
-    if float(np.linalg.norm(rho)) == 0.0:
-        raise DegenerateSeparationError(
-            "commutator evaluated at coincident points; the contact term is "
-            "not represented by this mode sum"
-        )
-    _require_regulator(sigma)
+    _separation(
+        rho,
+        "commutator evaluated at coincident points; the contact term is "
+        "not represented by this mode sum",
+    )
     kvecs, khat, weights = _half_modes(lattice, sigma)
     weights = weights * np.cos(kvecs @ rho)
     # sum_k w_k (1 - khat khat^T) without the (M, 3, 3) projector stack
@@ -292,11 +289,7 @@ def analytic_dipole_tensor(rho, units: UnitSystem = NATURAL) -> np.ndarray:
     the delta-function contact term at rho = 0 is outside its domain.
     """
     rho = as_vec3(rho, "rho")
-    dist = float(np.linalg.norm(rho))
-    if dist == 0.0:
-        raise DegenerateSeparationError(
-            "analytic commutator tensor is singular at zero separation"
-        )
+    dist = _separation(rho, "analytic commutator tensor is singular at zero separation")
     rhohat = rho / dist
     core = np.eye(3) - 3.0 * np.outer(rhohat, rhohat)
     return 1j * units.hbar / (4.0 * np.pi * units.epsilon0 * dist**3) * core

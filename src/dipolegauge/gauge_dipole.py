@@ -29,7 +29,8 @@ from .errors import DegenerateSeparationError
 from .field_modes import (
     ModeLattice,
     _half_modes,
-    _require_regulator,
+    _read_only,
+    _separation,
     as_vec3,
     commutator_ae_modesum,
     electric_field_coeffs,
@@ -71,9 +72,7 @@ class Dipole:
 
 
 def _frozen_vec(value, name: str) -> np.ndarray:
-    arr = as_vec3(value, name).copy()
-    arr.flags.writeable = False
-    return arr
+    return _read_only(as_vec3(value, name).copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +214,7 @@ def epsilon_dip(R, d, dp, units: UnitSystem = NATURAL) -> float:
     R = as_vec3(R, "R")
     d = as_vec3(d, "d")
     dp = as_vec3(dp, "dp")
-    dist = float(np.linalg.norm(R))
-    if dist == 0.0:
-        raise DegenerateSeparationError("dipole pair energy at zero separation")
+    dist = _separation(R, "dipole pair energy at zero separation")
     rhat = R / dist
     return float(
         (d @ dp - 3.0 * (d @ rhat) * (dp @ rhat))
@@ -232,9 +229,7 @@ def e_dip_field(R, d, units: UnitSystem = NATURAL) -> np.ndarray:
     """
     R = as_vec3(R, "R")
     d = as_vec3(d, "d")
-    dist = float(np.linalg.norm(R))
-    if dist == 0.0:
-        raise DegenerateSeparationError("dipole field evaluated at the dipole itself")
+    dist = _separation(R, "dipole field evaluated at the dipole itself")
     rhat = R / dist
     return -(d - 3.0 * (d @ rhat) * rhat) / (4.0 * np.pi * units.epsilon0 * dist**3)
 
@@ -317,13 +312,12 @@ def pair_energies_from_commutator(
     bit for bit for a fixed BLAS thread count.
     """
     _require_matching_units(config, lattice)
-    _require_regulator(sigma)
+    kvecs, khat, weights = _half_modes(lattice, sigma)
     n = len(config)
     if n < 2:
         return {}
     moments = np.array([dip.moment for dip in config.dipoles])
     positions = np.array([dip.position for dip in config.dipoles])
-    kvecs, khat, weights = _half_modes(lattice, sigma)
     root_w = np.sqrt(weights)
     chunk = max(1, _GRAM_CHUNK_BYTES // (3 * n * 16))
     gram = np.zeros((n, n))
@@ -355,7 +349,6 @@ def epsilon_self_regularized(d, lattice: ModeLattice, sigma: float) -> float:
     so the sum runs over the first M // 2 modes and is doubled.
     """
     d = as_vec3(d, "d")
-    _require_regulator(sigma)
     _, khat, weights = _half_modes(lattice, sigma)
     transverse_dd = float(d @ d) - (khat @ d) ** 2
     u = lattice.units
@@ -404,11 +397,10 @@ def field_shift_from_commutator(
     window as the commutator kernel itself.
     """
     _require_matching_units(config, lattice)
-    _require_regulator(sigma)
+    kvecs, khat, weights = _half_modes(lattice, sigma)
     R = _field_point(config, R)
     moments = np.array([dip.moment for dip in config.dipoles]).reshape(-1, 3)
     offsets = np.array([dip.position - R for dip in config.dipoles]).reshape(-1, 3)
-    kvecs, khat, weights = _half_modes(lattice, sigma)
     # (M // 2, 3) rows w_k s_k, then sum_k P_k w_k s_k
     weighted = weights[:, None] * (np.cos(kvecs @ offsets.T) @ moments)
     total = np.sum(weighted, axis=0) - khat.T @ np.sum(khat * weighted, axis=1)
@@ -426,11 +418,10 @@ def transform_report(
     summed over the first M // 2 modes and doubled.
     """
     _require_matching_units(config, lattice)
-    _require_regulator(sigma)
+    _, khat, weights = _half_modes(lattice, sigma)
     base = pairwise_interaction(config)
     moments = np.array([dip.moment for dip in config.dipoles]).reshape(-1, 3)
     dd = moments.T @ moments
-    _, khat, weights = _half_modes(lattice, sigma)
     longitudinal_dd = np.sum((khat @ dd) * khat, axis=1)
     scale = 1.0 / (lattice.units.epsilon0 * lattice.volume)
     self_energy = scale * np.sum(weights * (longitudinal_dd - np.trace(dd)))

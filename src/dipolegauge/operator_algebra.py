@@ -241,10 +241,7 @@ class OperatorPolynomial:
     def __sub__(self, other):
         if not isinstance(other, OperatorPolynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = out.get(key, 0j) - coeff
-        return self._from_canonical(out)
+        return self + (-other)
 
     def __neg__(self):
         return self._from_canonical({k: -v for k, v in self._terms.items()})
@@ -391,7 +388,7 @@ class FockOracleConfig:
     dim_cap: int = 4096
 
     def __post_init__(self):
-        modes = tuple(int(m) for m in (self.modes if not isinstance(self.modes, (int, np.integer)) else (self.modes,)))
+        modes = tuple(int(m) for m in self.modes)
         if not modes:
             raise ValueError("at least one mode is required")
         if any(m < 0 for m in modes):

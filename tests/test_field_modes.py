@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,8 +11,14 @@ from dipolegauge import (
     analytic_dipole_tensor,
     build_mode_lattice,
     commutator_ae_modesum,
+    commutator_line_integral,
+    coulomb_field,
+    e_dip_field,
     electric_field_coeffs,
+    epsilon_dip,
+    line_integral_endpoint,
     regulator_weights,
+    straight_path,
     transverse_projectors,
     vector_potential_coeffs,
     UnitSystem,
@@ -20,23 +29,48 @@ from dipolegauge.field_modes import as_vec3
 # --- lattice construction ---------------------------------------------------
 
 
+def _labels(lat):
+    # the lattice stores only k; its integer labels are n = k L / (2 pi)
+    scaled = lat.kvecs * (lat.box_length / (2 * np.pi))
+    labels = np.rint(scaled)
+    assert np.max(np.abs(scaled - labels)) <= 1e-12
+    return labels.astype(int)
+
+
 def test_mode_count_and_zero_exclusion():
     lat = build_mode_lattice(1.0, 2)
     assert lat.num_modes == 5**3 - 1
-    assert not np.any(np.all(lat.nvecs == 0, axis=1))
+    labels = _labels(lat)
+    assert not np.any(np.all(labels == 0, axis=1))
+    expected = set(itertools.product(range(-2, 3), repeat=3)) - {(0, 0, 0)}
+    assert {tuple(n) for n in labels} == expected
 
 
 def test_lexicographic_ordering():
     lat = build_mode_lattice(2.0, 2)
-    rows = [tuple(n) for n in lat.nvecs]
+    rows = [tuple(n) for n in _labels(lat)]
     assert rows == sorted(rows)
     assert rows[0] == (-2, -2, -2)
 
 
 def test_wavevectors_and_dispersion():
     lat = build_mode_lattice(2.0, 1, UnitSystem(c=3.0))
-    assert_allclose(lat.kvecs, 2 * np.pi / 2.0 * lat.nvecs)
+    assert_allclose(lat.kvecs, 2 * np.pi / 2.0 * _labels(lat))
     assert_allclose(lat.omega, 3.0 * lat.knorm)
+
+
+@pytest.mark.parametrize("extent", [1, 2, 8, 24, 48])
+@pytest.mark.parametrize("box", [1.0, 2.0, 0.37, 1e-3, 7.5])
+def test_lattice_matches_integer_grid_construction(box, extent):
+    # bit for bit the lattice built from integer labels: (2 pi / L) * n over
+    # the lexicographic 'ij' grid of n with n = 0 masked out
+    rng = np.arange(-extent, extent + 1)
+    n = np.array(np.meshgrid(rng, rng, rng, indexing="ij")).reshape(3, -1).T
+    n = n[np.any(n != 0, axis=1)]
+    kvecs = (2.0 * np.pi / box) * n.astype(float)
+    lat = build_mode_lattice(box, extent)
+    assert np.array_equal(lat.kvecs, kvecs)
+    assert np.array_equal(lat.knorm, np.linalg.norm(kvecs, axis=1))
 
 
 def test_arrays_read_only():
@@ -52,7 +86,8 @@ def test_modes_pair_with_their_negations():
         lat = build_mode_lattice(1.0, extent)
         half = lat.num_modes // 2
         assert lat.num_modes == 2 * half
-        assert np.array_equal(lat.nvecs[half:], -lat.nvecs[:half][::-1])
+        labels = _labels(lat)
+        assert np.array_equal(labels[half:], -labels[:half][::-1])
         assert np.array_equal(lat.kvecs[half:], -lat.kvecs[:half][::-1])
         assert np.array_equal(lat.knorm[half:], lat.knorm[:half][::-1])
 
@@ -87,7 +122,8 @@ def test_projectors_are_transverse_projections():
 
 def test_regulator_weights():
     lat = build_mode_lattice(1.0, 2)
-    assert_allclose(regulator_weights(lat, 0.0), 1.0)
+    # exp(-0) is exactly 1, so sigma = 0 leaves every mode unweighted
+    assert np.array_equal(regulator_weights(lat, 0.0), np.ones(lat.num_modes))
     w = regulator_weights(lat, 0.05)
     assert_allclose(w, np.exp(-((lat.knorm * 0.05) ** 2)))
     with pytest.raises(ValueError):
@@ -158,6 +194,64 @@ def test_analytic_tensor_units():
 def test_analytic_tensor_degenerate():
     with pytest.raises(DegenerateSeparationError):
         analytic_dipole_tensor([0.0, 0.0, 0.0])
+
+
+_ORIGIN = np.zeros(3)
+_AWAY = np.array([0.0, 0.0, 0.1])
+_D = np.array([1.0, 0.0, 0.0])
+_PATH = straight_path(_AWAY)
+_LAT = build_mode_lattice(1.0, 1)
+
+
+# every closed form, the mode-sum kernel and the path routes share one
+# zero-separation rule, and each keeps its own message
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: commutator_ae_modesum(_LAT, _AWAY, _AWAY, 0.1),
+            "commutator evaluated at coincident points; the contact term is "
+            "not represented by this mode sum",
+        ),
+        (
+            lambda: analytic_dipole_tensor(_ORIGIN),
+            "analytic commutator tensor is singular at zero separation",
+        ),
+        (lambda: epsilon_dip(_ORIGIN, _D, _D), "dipole pair energy at zero separation"),
+        (
+            lambda: e_dip_field(_ORIGIN, _D),
+            "dipole field evaluated at the dipole itself",
+        ),
+        (lambda: straight_path(_ORIGIN), "cannot aim a reference path at r = 0"),
+        (lambda: coulomb_field(_ORIGIN, 1.0), "Coulomb field evaluated at the charge"),
+        (
+            lambda: commutator_line_integral(_PATH, _ORIGIN),
+            "field point must be away from the origin",
+        ),
+        (
+            lambda: line_integral_endpoint(_PATH, _ORIGIN),
+            "field point must be away from the origin",
+        ),
+        (
+            lambda: line_integral_endpoint(_PATH, _PATH.vertices[-1]),
+            "path endpoint coincides with field point",
+        ),
+    ],
+    ids=[
+        "commutator_ae_modesum",
+        "analytic_dipole_tensor",
+        "epsilon_dip",
+        "e_dip_field",
+        "reference_endpoint",
+        "coulomb_field",
+        "commutator_line_integral",
+        "line_integral_endpoint-field_point",
+        "line_integral_endpoint-path_endpoint",
+    ],
+)
+def test_zero_separation_sites_raise_their_message(call, message):
+    with pytest.raises(DegenerateSeparationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # --- mode-sum commutator ----------------------------------------------------

@@ -505,6 +505,11 @@ def test_pair_energies_batched_rejects_bad_sigma(lattice4, sigma):
         lambda: epsilon_self_regularized([1.0, 0.0, 0.0], lattice4, sigma),
         lambda: transform_report(cfg, lattice4, sigma),
         lambda: field_shift_from_commutator(cfg, lattice4, [0.2, 0.1, -0.1], sigma),
+        # no pair to sum over: sigma is still checked
+        lambda: pair_energies_from_commutator(DipoleConfig(()), lattice4, sigma),
+        lambda: pair_energies_from_commutator(
+            DipoleConfig(cfg.dipoles[:1]), lattice4, sigma
+        ),
     ]
     for route in routes:
         with pytest.raises(ValueError, match="sigma"):
