@@ -506,9 +506,9 @@ def _load_raw_config(path: str) -> tuple[dict, str]:
     return raw, digest
 
 
-# Each runner below takes the validated config and yields one
-# (label, outputs, comparisons, gates_exit) tuple per unit of work; ``main``
-# turns each tuple into a ResultRecord.
+# Each runner below takes the validated config and yields one (label, key,
+# outputs, comparisons, gates_exit) tuple per unit of work, ``key`` being the
+# input its label rounds; ``main`` turns each tuple into a ResultRecord.
 
 
 def _label(vec: np.ndarray) -> str:
@@ -559,7 +559,7 @@ def _run_verify_commutator(cfg: dict):
                 ),
             }
             label = f"rho={_label(sep)} N={extent}"
-            yield label, outputs, comparisons, extent == gate_extent
+            yield label, tuple(sep), outputs, comparisons, extent == gate_extent
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +593,7 @@ def _run_dipole_energy(cfg: dict):
     else:
         report = pairwise_interaction(config)
     outputs = {"num_dipoles": len(config), "transform_report": report.to_dict()}
-    yield f"{len(config)} dipole(s)", outputs, comparisons, True
+    yield f"{len(config)} dipole(s)", None, outputs, comparisons, True
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +638,7 @@ def _run_field_shift(cfg: dict):
             "commutator_route": route,
             "sigma": sigma,
         }
-        yield f"point={_label(point)}", outputs, comparisons, True
+        yield f"point={_label(point)}", tuple(point), outputs, comparisons, True
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +710,7 @@ def _run_coulomb_path(cfg: dict):
                 "endpoint_formula": oracle,
                 "minus_coulomb_field": minus_coulomb,
             }
-            yield f"point={_label(point)}", outputs, comparisons, True
+            yield f"point={_label(point)}", tuple(point), outputs, comparisons, True
         return
 
     # explicit-path mode
@@ -732,7 +732,8 @@ def _run_coulomb_path(cfg: dict):
             comparisons = _coulomb_comparisons(
                 integral, oracle, minus_coulomb, tolerances
             )
-            yield f"path={p_idx} point={_label(point)}", outputs, comparisons, True
+            label = f"path={p_idx} point={_label(point)}"
+            yield label, tuple(point), outputs, comparisons, True
     for a, b in cfg["path_pairs"]:
         charge = cfg["charge_paths"][a].charge
         for pt_idx, point in enumerate(cfg["field_points"]):
@@ -741,7 +742,8 @@ def _run_coulomb_path(cfg: dict):
             )
             outputs = {"path_pair": [a, b], "point": point, "residual": residual}
             row = _residual_row("path_independence_residual", residual, tolerances)
-            yield f"paths=({a},{b}) point={_label(point)}", outputs, [row], True
+            label = f"paths=({a},{b}) point={_label(point)}"
+            yield label, tuple(point), outputs, [row], True
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +781,7 @@ def _run_bch_check(cfg: dict):
                 kind="absolute",
             )
         ]
-        yield f"xi={xi:g}", outputs, comparisons, True
+        yield f"xi={xi:g}", xi, outputs, comparisons, True
 
 
 # ---------------------------------------------------------------------------
@@ -854,12 +856,12 @@ def main(argv=None) -> int:
     try:
         raw, digest = _load_raw_config(args.config)
         cfg = validator(raw)
-        records = []
+        records, keys = [], {}
         last = time.perf_counter()
-        for label, outputs, comparisons, gates_exit in runner(cfg):
-            # a CSV row is keyed by (record label, comparison), so a shared
-            # label would make one row indistinguishable from another
-            if any(record.label == label for record in records):
+        for label, key, outputs, comparisons, gates_exit in runner(cfg):
+            # a CSV row is keyed by (record label, comparison): a repeated
+            # input prints identical rows, two inputs under one label do not
+            if keys.setdefault(label, key) != key:
                 raise ConfigError(f"two records would share the label {label!r}")
             now = time.perf_counter()
             records.append(

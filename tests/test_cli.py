@@ -303,16 +303,35 @@ def test_bch_bad_xi(tmp_path):
     "command, cfg, label",
     [
         ("bch-check", bch_config(xi_values=[0.1, 0.1000001]), "xi=0.1"),
-        ("verify-commutator", vc_config(half_extents=[8, 8]), "rho=[0. ,0. ,0.2] N=8"),
+        (
+            "verify-commutator",
+            vc_config(separations=[[0.0, 0.0, 0.2], [0.0, 0.0, 0.2000000001]]),
+            "rho=[0. ,0. ,0.2] N=8",
+        ),
     ],
 )
 def test_records_sharing_a_label_are_rejected(tmp_path, capsys, command, cfg, label):
-    # CSV rows are keyed by (record label, comparison), so two records with one
-    # label would give rows that no reader can tell apart
+    # CSV rows are keyed by (record label, comparison), so two inputs that
+    # print as one label would give rows that no reader can tell apart
     assert run(tmp_path, command, cfg) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"config error: two records would share the label {label!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("bch-check", bch_config(xi_values=[0.1, 0.1])),
+        ("verify-commutator", vc_config(half_extents=[8, 8])),
+    ],
+)
+def test_repeated_inputs_print_identical_rows(tmp_path, capsys, command, cfg):
+    # an exact repeat loses nothing when rows are keyed by label, so it runs
+    assert run(tmp_path, command, cfg, "--format", "csv") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    half = len(rows) // 2
+    assert half > 0 and rows[:half] == rows[half:]
 
 
 @pytest.mark.parametrize(
