@@ -490,6 +490,16 @@ def _validator(command: str, check=None):
     return _validate
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: a key given twice, at any depth, is a config error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config key {key!r} is given more than once")
+        obj[key] = value
+    return obj
+
+
 def _load_raw_config(path: str) -> tuple[dict, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -497,7 +507,7 @@ def _load_raw_config(path: str) -> tuple[dict, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     digest = hashlib.sha256(
@@ -513,6 +523,19 @@ def _load_raw_config(path: str) -> tuple[dict, str]:
 
 def _label(vec: np.ndarray) -> str:
     return np.array2string(vec, separator=",")
+
+
+# a reference within this many machine epsilons of its row's scale is the
+# rounding residue of an analytic zero, not a value to be relative to
+_ZERO_REFERENCE = 16 * np.finfo(float).eps
+
+
+def _gated(name: str, computed, reference, tol: float, scale: float) -> Comparison:
+    """Row relative to |reference|, or absolute at tol * scale for an analytic zero."""
+    computed, reference = float(computed), float(reference)
+    if abs(reference) <= _ZERO_REFERENCE * scale:
+        return Comparison(name, computed, reference, tol * scale, "absolute")
+    return Comparison(name, computed, reference, tol, "relative")
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +561,8 @@ def _run_verify_commutator(cfg: dict):
             ).imag
             # analytically-zero entries are bounded against the dominant entry
             comparisons = [
-                Comparison(
-                    name=f"entry[{i},{j}]",
-                    computed=float(computed[i, j]),
-                    reference=float(reference[i, j]),
-                    tolerance=tol if reference[i, j] != 0.0 else tol * dominant,
-                    kind="relative" if reference[i, j] != 0.0 else "absolute",
+                _gated(
+                    f"entry[{i},{j}]", computed[i, j], reference[i, j], tol, dominant
                 )
                 for i in range(3)
                 for j in range(3)
@@ -580,15 +599,19 @@ def _run_dipole_energy(cfg: dict):
         report = transform_report(config, lattice, sigma)
         tol = cfg["tolerances"]["pair_energy_rel"]
         routes = pair_energies_from_commutator(config, lattice, sigma)
+        sizes = [float(np.linalg.norm(dip.moment)) for dip in config.dipoles]
+        unit = 4.0 * np.pi * config.units.epsilon0
+        # gaps run over the pairs in the report's (q, qp) order; a pair's
+        # scale is |d_q| |d_qp| / (4 pi eps0 |R|^3)
         comparisons = [
-            Comparison(
-                name=f"pair_route[{q},{qp}]",
-                computed=routes[(q, qp)],
-                reference=closed,
-                tolerance=tol,
-                kind="relative",
+            _gated(
+                f"pair_route[{q},{qp}]",
+                routes[(q, qp)],
+                closed,
+                tol,
+                sizes[q] * sizes[qp] / (unit * gap**3),
             )
-            for (q, qp), closed in report.pair_energies.items()
+            for ((q, qp), closed), gap in zip(report.pair_energies.items(), gaps)
         ]
     else:
         report = pairwise_interaction(config)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeparationError, PathSingularityError
-from .field_modes import _read_only, _separation, as_vec3
+from .errors import PathSingularityError
+from .field_modes import _dipole_tensor, _norm2, _read_only, _separation, as_vec3
 from .units import NATURAL, UnitSystem
 
 __all__ = [
@@ -125,11 +125,6 @@ def coulomb_field(r, q: float, units: UnitSystem = NATURAL) -> np.ndarray:
     return (float(q) / (4.0 * np.pi * units.epsilon0 * dist**3)) * r
 
 
-def _norm2(x: np.ndarray) -> np.ndarray:
-    """Row-wise 2-norm, equal bit for bit to np.linalg.norm of each row."""
-    return np.sqrt(np.vecdot(x, x))
-
-
 def dipole_kernel(rho) -> np.ndarray:
     """Jacobian matrix of rho / |rho|^3, i.e. (delta - 3 rhohat rhohat^T) / |rho|^3.
 
@@ -137,9 +132,7 @@ def dipole_kernel(rho) -> np.ndarray:
     the path element; being a gradient is exactly why the integral telescopes.
 
     rho is one 3-vector or a stack of them, shape (..., 3); the result has
-    shape (..., 3, 3).  Every matrix has the bits of the single-vector
-    formula: |rho| as np.linalg.norm forms it, and |rho|^3 by the C library's
-    pow, as for a Python float.
+    shape (..., 3, 3), with the bits of the single-vector formula.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.ndim == 0 or rho.shape[-1] != 3:
@@ -148,13 +141,7 @@ def dipole_kernel(rho) -> np.ndarray:
         )
     if not np.all(np.isfinite(rho)):
         raise ValueError(f"rho must have finite components, got {rho}")
-    dist = _norm2(rho)
-    if np.any(dist == 0.0):
-        raise DegenerateSeparationError("kernel is singular at zero separation")
-    rhohat = rho / dist[..., None]
-    cube = np.array([d**3 for d in dist.ravel().tolist()]).reshape(dist.shape)
-    outer = rhohat[..., :, None] * rhohat[..., None, :]
-    return (np.eye(3) - 3.0 * outer) / cube[..., None, None]
+    return _dipole_tensor(rho, "kernel is singular at zero separation")
 
 
 # QUADPACK's Gauss-Kronrod 21-point rule on [-1, 1] (Piessens et al. 1983),

@@ -10,18 +10,17 @@ for them.  Summing coefficient products over modes gives the equal-time
 commutator of the two fields, which converges (away from contact) to the
 closed-form dipole-kernel tensor provided by :func:`analytic_dipole_tensor`.
 
-Every regulated mode sum of the library (the A-E commutator kernel, the pair
-energies, the self energy and the field shift) has a summand even in k: the
-cosine of k times a separation, the projector 1 - khat khat^T and the Gaussian
-weight all are.  The lattice stores -k of mode i at index M - 1 - i, so these
-sums run over the representative half, the first M // 2 modes, and double the
-result, which is exact.  The lattice itself keeps all M modes, because every
-operator mode is needed by the coefficient blocks and the exact-algebra
-generators built on them.
+Every regulated mode sum is a contraction of one box sum, formed only by
+``_box_sum``: S_N(rho) = (2 / (eps0 V)) sum_k w_k cos(k . rho) (1 - khat
+khat^T) over the first M // 2 modes, exact because the summand is even in k
+and mode M - 1 - i is -k_i.  The A-E kernel is -i hbar S_N(rho), the field
+shift sum_q S_N(R_q - R) d_q, the self energy -(1/2) d^T S_N(0) d; the pair
+energies take S_N as one Gram matrix.  The closed-form limit
+(delta - 3 rhohat rhohat^T) / |rho|^3 is formed only by ``_dipole_tensor``.
 
 All functions here are pure and treat their array inputs as immutable.  Mode
 sums are numpy reductions and small BLAS matrix products (the khat contraction
-of :func:`commutator_ae_modesum`, the pair Gram matrix of
+of ``_box_sum``, the pair Gram matrix of
 :func:`dipolegauge.gauge_dipole.pair_energies_from_commutator`), so repeated
 calls produce bit-identical results for a fixed BLAS thread count.
 """
@@ -63,12 +62,30 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _separation(rho: np.ndarray, message: str) -> float:
-    """|rho|; the one zero-separation rule of the closed forms and the kernel."""
-    dist = float(np.linalg.norm(rho))
-    if dist == 0.0:
+def _norm2(x: np.ndarray) -> np.ndarray:
+    """Row-wise 2-norm, equal bit for bit to np.linalg.norm of each row."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _separation(rho: np.ndarray, message: str):
+    """|rho| per 3-vector of rho; the one zero-separation rule of the library."""
+    dist = _norm2(rho)
+    if np.any(dist == 0.0):
         raise DegenerateSeparationError(message)
     return dist
+
+
+def _dipole_tensor(rho: np.ndarray, message: str) -> np.ndarray:
+    """(delta - 3 rhohat rhohat^T) / |rho|^3 per 3-vector of rho, shape (..., 3, 3).
+
+    The one closed form of the library, with the bits of the single-vector
+    formula: |rho| as np.linalg.norm forms it, |rho|^3 by the C library's pow.
+    """
+    dist = _separation(rho, message)
+    rhohat = rho / dist[..., None]
+    cube = np.array([d**3 for d in dist.ravel().tolist()]).reshape(dist.shape)
+    outer = rhohat[..., :, None] * rhohat[..., None, :]
+    return (np.eye(3) - 3.0 * outer) / cube[..., None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +223,21 @@ def _half_modes(lattice: ModeLattice, sigma: float):
     return kvecs, kvecs / knorm[:, None], _gaussian_weights(knorm, sigma)
 
 
+def _box_sum(lattice: ModeLattice, offsets: np.ndarray, sigma: float) -> np.ndarray:
+    """S_N(rho) for each row rho of the (n, 3) offsets, shape (n, 3, 3).
+
+    Rows are summed one at a time, so a stack gives the bits of its row
+    calls, and sum_k c_k khat khat^T is one (3, M // 2) x (M // 2, 3) product
+    without an (M, 3, 3) projector stack.
+    """
+    kvecs, khat, weights = _half_modes(lattice, sigma)
+    tensors = np.empty((len(offsets), 3, 3))
+    for row, rho in zip(tensors, offsets):
+        c = weights * np.cos(kvecs @ rho)
+        row[...] = np.sum(c) * np.eye(3) - khat.T @ (c[:, None] * khat)
+    return 2.0 / (lattice.units.epsilon0 * lattice.volume) * tensors
+
+
 def _field_amplitudes(lattice: ModeLattice) -> np.ndarray:
     u = lattice.units
     return np.sqrt(u.hbar / (2.0 * u.epsilon0 * lattice.omega * lattice.volume))
@@ -246,11 +278,8 @@ def commutator_ae_modesum(lattice: ModeLattice, R, Rp, sigma: float) -> np.ndarr
     """Equal-time commutator tensor [A_j(R), E_l(R')] summed over box modes.
 
     Contracting the coefficient blocks with the canonical commutation
-    relations leaves, per mode, the purely imaginary tensor
-    ``-i (hbar / (eps0 V)) cos(k . (R - R')) (1 - khat khat^T)``, damped here
-    by the Gaussian regulator weight for ``sigma``.  The summand is even in
-    k, so the sum runs over the first M // 2 modes and is doubled.  Within
-    the window sigma << |R - R'| << box_length the sum approaches
+    relations gives -i hbar S_N(R - R'), the Gaussian-regulated box sum.
+    Within the window sigma << |R - R'| << box_length it approaches
     :func:`analytic_dipole_tensor` of the separation.
 
     Parameters
@@ -265,20 +294,13 @@ def commutator_ae_modesum(lattice: ModeLattice, R, Rp, sigma: float) -> np.ndarr
     -------
     (3, 3) complex array, purely imaginary and symmetric up to rounding.
     """
-    R = as_vec3(R, "R")
-    Rp = as_vec3(Rp, "Rp")
-    rho = R - Rp
+    rho = as_vec3(R, "R") - as_vec3(Rp, "Rp")
     _separation(
         rho,
         "commutator evaluated at coincident points; the contact term is "
         "not represented by this mode sum",
     )
-    kvecs, khat, weights = _half_modes(lattice, sigma)
-    weights = weights * np.cos(kvecs @ rho)
-    # sum_k w_k (1 - khat khat^T) without the (M, 3, 3) projector stack
-    tensor = np.sum(weights) * np.eye(3) - khat.T @ (weights[:, None] * khat)
-    u = lattice.units
-    return -2j * (u.hbar / (u.epsilon0 * lattice.volume)) * tensor
+    return -1j * lattice.units.hbar * _box_sum(lattice, rho[None], sigma)[0]
 
 
 def analytic_dipole_tensor(rho, units: UnitSystem = NATURAL) -> np.ndarray:
@@ -288,8 +310,7 @@ def analytic_dipole_tensor(rho, units: UnitSystem = NATURAL) -> np.ndarray:
     ``i hbar / (4 pi eps0 |rho|^3) (delta_jl - 3 rhohat_j rhohat_l)``;
     the delta-function contact term at rho = 0 is outside its domain.
     """
-    rho = as_vec3(rho, "rho")
-    dist = _separation(rho, "analytic commutator tensor is singular at zero separation")
-    rhohat = rho / dist
-    core = np.eye(3) - 3.0 * np.outer(rhohat, rhohat)
-    return 1j * units.hbar / (4.0 * np.pi * units.epsilon0 * dist**3) * core
+    core = _dipole_tensor(
+        as_vec3(rho, "rho"), "analytic commutator tensor is singular at zero separation"
+    )
+    return 1j * units.hbar / (4.0 * np.pi * units.epsilon0) * core

@@ -28,9 +28,10 @@ import numpy as np
 from .errors import DegenerateSeparationError
 from .field_modes import (
     ModeLattice,
+    _box_sum,
+    _dipole_tensor,
     _half_modes,
     _read_only,
-    _separation,
     as_vec3,
     commutator_ae_modesum,
     electric_field_coeffs,
@@ -211,14 +212,9 @@ def epsilon_dip(R, d, dp, units: UnitSystem = NATURAL) -> float:
     under swapping the two dipoles together with R -> -R, and under swapping
     the moments alone.
     """
-    R = as_vec3(R, "R")
-    d = as_vec3(d, "d")
-    dp = as_vec3(dp, "dp")
-    dist = _separation(R, "dipole pair energy at zero separation")
-    rhat = R / dist
+    core = _dipole_tensor(as_vec3(R, "R"), "dipole pair energy at zero separation")
     return float(
-        (d @ dp - 3.0 * (d @ rhat) * (dp @ rhat))
-        / (4.0 * np.pi * units.epsilon0 * dist**3)
+        as_vec3(d, "d") @ core @ as_vec3(dp, "dp") / (4.0 * np.pi * units.epsilon0)
     )
 
 
@@ -228,25 +224,26 @@ def e_dip_field(R, d, units: UnitSystem = NATURAL) -> np.ndarray:
     -(1 / (4 pi eps0 |R|^3)) (d - 3 (d . Rhat) Rhat).
     """
     R = as_vec3(R, "R")
-    d = as_vec3(d, "d")
-    dist = _separation(R, "dipole field evaluated at the dipole itself")
-    rhat = R / dist
-    return -(d - 3.0 * (d @ rhat) * rhat) / (4.0 * np.pi * units.epsilon0 * dist**3)
+    core = _dipole_tensor(R, "dipole field evaluated at the dipole itself")
+    return -(core @ as_vec3(d, "d")) / (4.0 * np.pi * units.epsilon0)
 
 
 def pairwise_interaction(config: DipoleConfig) -> TransformReport:
     """Closed-form pair energies for all q > qp, assembled into a report.
 
-    The self-energy slots are left empty; :func:`transform_report` fills them
-    when a lattice and regulator are available.
+    The self-energy slots are left empty; :func:`transform_report` fills them.
+    All pairs contract one stacked closed form, as :func:`epsilon_dip` does.
     """
-    pair_energies: dict[tuple[int, int], float] = {}
-    for q in range(len(config)):
-        for qp in range(q):
-            dq, dqp = config.dipoles[q], config.dipoles[qp]
-            pair_energies[(q, qp)] = epsilon_dip(
-                dq.position - dqp.position, dq.moment, dqp.moment, config.units
-            )
+    moments = np.array([dip.moment for dip in config.dipoles]).reshape(-1, 3)
+    positions = np.array([dip.position for dip in config.dipoles]).reshape(-1, 3)
+    q, qp = np.tril_indices(len(config), -1)
+    cores = _dipole_tensor(
+        positions[q] - positions[qp], "dipole pair energy at zero separation"
+    )
+    energies = np.einsum("pj,pjl,pl->p", moments[q], cores, moments[qp]) / (
+        4.0 * np.pi * config.units.epsilon0
+    )
+    pair_energies = dict(zip(zip(q.tolist(), qp.tolist()), energies.tolist()))
     return TransformReport(
         pair_energies=pair_energies,
         total_interaction=float(sum(pair_energies.values())),
@@ -258,19 +255,13 @@ def pairwise_interaction(config: DipoleConfig) -> TransformReport:
 def epsilon_dip_from_commutator(
     q: int, qp: int, config: DipoleConfig, lattice: ModeLattice, sigma: float
 ) -> float:
-    """Pair energy (q, qp) extracted from the mode-sum commutator kernel.
+    """Pair energy (q, qp) from the mode-sum kernel K = -i hbar S_N(R_q - R_qp).
 
-    The scalar [X, Y] collects, for each unordered dipole pair, two ordered
-    contributions d_q^T K d_qp and d_qp^T K^T d_q with K the equal-time A-E
-    commutator tensor of the separation; K is symmetric and even in the
-    separation, so the two are equal.  The energy bookkeeping multiplies the
-    ordered double sum by -i hbar / 2, and the net single-pair factor
-    -i/hbar * d_q^T K d_qp is applied here in one place.  The result is real
-    up to rounding because K is purely imaginary.
-
-    Valid within the window sigma << separation << box length; compare
-    against :func:`epsilon_dip` to judge convergence.  For every pair at once
-    use :func:`pair_energies_from_commutator`.
+    The scalar [X, Y] holds each unordered pair twice, as d_q^T K d_qp and
+    its equal transpose, times -i hbar / 2, so one pair's energy is
+    -(i/hbar) d_q^T K d_qp = -d_q^T S_N d_qp, real up to rounding.  Valid
+    within the window sigma << separation << box length; for every pair at
+    once use :func:`pair_energies_from_commutator`.
     """
     _require_matching_units(config, lattice)
     n = len(config)
@@ -297,19 +288,15 @@ def pair_energies_from_commutator(
 ) -> dict[tuple[int, int], float]:
     """Every pair energy of :func:`epsilon_dip_from_commutator` from one Gram matrix.
 
-    With P_k = 1 - khat khat^T idempotent and cos(k . (R_q - R_p)) =
-    Re(e^{i k . R_q} e^{-i k . R_p}), the per-pair contraction
-    -(1 / (eps0 V)) sum_k w_k cos(k . (R_q - R_p)) d_q^T P_k d_p is
-    -G[q, p] / (eps0 V) with G = Re(V V^H) over the flattened (mode, channel)
-    axis of V[q, k, :] = sqrt(w_k) e^{i k . R_q} P_k d_q.  G is accumulated
-    over chunks of modes, as the cosine and sine parts of V, so no (M, 3, 3)
-    projector stack is built; hbar cancels and never enters.  The summand is
-    even in k, so G runs over the first M // 2 modes and is doubled.
+    P_k = 1 - khat khat^T is idempotent, so -d_q^T S_N(R_q - R_p) d_p is
+    -(2 / (eps0 V)) G[q, p] with G = Re(V V^H) over the flattened (mode,
+    channel) axis of V[q, k, :] = sqrt(w_k) e^{i k . R_q} P_k d_q on the first
+    M // 2 modes.  G is accumulated over chunks of modes, as the cosine and
+    sine parts of V, and hbar never enters.
 
     Returns a dict keyed (q, qp) with q > qp, in the order of
     :attr:`TransformReport.pair_energies`; empty for fewer than two dipoles.
-    Values match the per-pair route to summation-order rounding and repeat
-    bit for bit for a fixed BLAS thread count.
+    Values match the per-pair route to summation-order rounding.
     """
     _require_matching_units(config, lattice)
     kvecs, khat, weights = _half_modes(lattice, sigma)
@@ -339,20 +326,14 @@ def pair_energies_from_commutator(
 
 
 def epsilon_self_regularized(d, lattice: ModeLattice, sigma: float) -> float:
-    """Regulator-dependent self energy of one dipole moment.
+    """Regulator-dependent self energy -(1/2) d^T S_N(0) d of one dipole moment.
 
-    The q = qp diagonal of the commutator-route interaction, evaluated with
-    the Gaussian-regulated kernel at zero separation:
-    -(1 / (2 eps0 V)) sum_k w_k (|d|^2 - (d . khat)^2).  Finite for any
+    The q = qp diagonal of the commutator-route interaction.  Finite for any
     sigma > 0 and divergent like 1/sigma^3 as sigma -> 0, which is the
-    mode-sum form of the unregulated singularity.  The summand is even in k,
-    so the sum runs over the first M // 2 modes and is doubled.
+    mode-sum form of the unregulated singularity.
     """
     d = as_vec3(d, "d")
-    _, khat, weights = _half_modes(lattice, sigma)
-    transverse_dd = float(d @ d) - (khat @ d) ** 2
-    u = lattice.units
-    return float(-1.0 / (u.epsilon0 * lattice.volume) * np.sum(weights * transverse_dd))
+    return float(-0.5 * d @ _box_sum(lattice, np.zeros((1, 3)), sigma)[0] @ d)
 
 
 def _field_point(config: DipoleConfig, R) -> np.ndarray:
@@ -381,30 +362,21 @@ def field_shift(config: DipoleConfig, R) -> np.ndarray:
 def field_shift_from_commutator(
     config: DipoleConfig, lattice: ModeLattice, R, sigma: float
 ) -> np.ndarray:
-    """Mode-sum route to :func:`field_shift` via the gauge-exponent commutator.
+    """Mode-sum route to :func:`field_shift`: sum_q S_N(R_q - R) d_q.
 
     [X, E(R)] is the transformed minus the original field component and the
-    shift is its negation.  With X = -(i/hbar) sum_q d_q . A(R_q) and every
-    [A_l(R_q), E_j(R)] the c-number K_q[l, j] of
-    ``commutator_ae_modesum(lattice, R_q, R, sigma)``, the shift is
-    (i/hbar) sum_q d_q . K_q = (1 / (eps0 V)) sum_k w_k P_k s_k with
-    s_k = sum_q cos(k . (R_q - R)) d_q, contracted for every dipole in one
-    pass over the first M // 2 modes and doubled (the summand is even in k).
-    No operator or coefficient tensor is built, hbar cancels, and no absolute
-    cut applies.  Commuting :func:`build_gm_generator` with
-    :func:`field_component_generator` is an independent route to the same
-    scalars.  Agreement with the closed form holds in the same validity
+    shift is its negation; with the A-E kernel -i hbar S_N and
+    X = -(i/hbar) sum_q d_q . A(R_q), hbar cancels and the shift is the box
+    sum contracted with every moment.  Commuting :func:`build_gm_generator`
+    with :func:`field_component_generator` is an independent route to the
+    same scalars.  Agreement with the closed form holds in the same validity
     window as the commutator kernel itself.
     """
     _require_matching_units(config, lattice)
-    kvecs, khat, weights = _half_modes(lattice, sigma)
     R = _field_point(config, R)
     moments = np.array([dip.moment for dip in config.dipoles]).reshape(-1, 3)
     offsets = np.array([dip.position - R for dip in config.dipoles]).reshape(-1, 3)
-    # (M // 2, 3) rows w_k s_k, then sum_k P_k w_k s_k
-    weighted = weights[:, None] * (np.cos(kvecs @ offsets.T) @ moments)
-    total = np.sum(weighted, axis=0) - khat.T @ np.sum(khat * weighted, axis=1)
-    return 2.0 / (lattice.units.epsilon0 * lattice.volume) * total
+    return np.einsum("qjl,ql->j", _box_sum(lattice, offsets, sigma), moments)
 
 
 def transform_report(
@@ -412,17 +384,12 @@ def transform_report(
 ) -> TransformReport:
     """Assemble pair energies, total, and regularized self energy into one report.
 
-    The summed :func:`epsilon_self_regularized` is linear in
-    D = sum_q d_q d_q^T, so it takes one mode pass for all dipoles:
-    (1 / (2 eps0 V)) sum_k w_k (khat^T D khat - tr D), even in k and so
-    summed over the first M // 2 modes and doubled.
+    The summed :func:`epsilon_self_regularized` is -(1/2) tr(S_N(0) D) with
+    D = sum_q d_q d_q^T, one box sum for all dipoles.
     """
     _require_matching_units(config, lattice)
-    _, khat, weights = _half_modes(lattice, sigma)
-    base = pairwise_interaction(config)
     moments = np.array([dip.moment for dip in config.dipoles]).reshape(-1, 3)
-    dd = moments.T @ moments
-    longitudinal_dd = np.sum((khat @ dd) * khat, axis=1)
-    scale = 1.0 / (lattice.units.epsilon0 * lattice.volume)
-    self_energy = scale * np.sum(weights * (longitudinal_dd - np.trace(dd)))
+    at_zero = _box_sum(lattice, np.zeros((1, 3)), sigma)[0]
+    self_energy = -0.5 * np.sum(at_zero * (moments.T @ moments))
+    base = pairwise_interaction(config)
     return replace(base, self_energy=float(self_energy), regulator_sigma=float(sigma))

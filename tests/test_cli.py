@@ -810,6 +810,76 @@ def test_comparison_semantics():
     assert abs_zero.passed and abs_zero.rel_error is None
 
 
+# a reference at rounding level of its row's scale is an analytic zero and is
+# gated absolutely, at tol times that scale, however it happens to round
+def test_vc_rounded_zero_entry_is_absolute(tmp_path, capsys):
+    # on the body diagonal the diagonal entries vanish analytically; at 0.075
+    # they round to about -8e-15 and at 0.07 to exactly 0
+    cfg = vc_config(separations=[[0.075] * 3, [0.07] * 3], half_extents=[24])
+    del cfg["sigma"], cfg["tolerances"]
+    assert run(tmp_path, "verify-commutator", cfg) == 0
+    diagonals = []
+    for record in json.loads(capsys.readouterr().out)["records"]:
+        rows = {row["name"]: row for row in record["comparisons"]}
+        dominant = max(abs(row["reference"]) for row in rows.values())
+        for i in range(3):
+            diagonal = rows[f"entry[{i},{i}]"]
+            diagonals.append(diagonal["reference"])
+            assert abs(diagonal["reference"]) < 1e-14 * dominant
+            assert diagonal["kind"] == "absolute"
+            assert diagonal["tolerance"] == TOLERANCES["commutator_rel"] * dominant
+            assert rows[f"entry[{i},{(i + 1) % 3}]"]["kind"] == "relative"
+    assert any(diagonals) and not all(diagonals)
+
+
+def test_de_zero_pair_energy_is_absolute(tmp_path, capsys):
+    cfg = {
+        "schema_version": 1,
+        "dipoles": [
+            {"position": [0.0, 0.0, 0.0], "moment": [1.0, 0.0, 0.0]},
+            {"position": [0.0, 0.0, 0.2], "moment": [0.0, 1.0, 0.0]},
+        ],
+        "lattice": {"half_extent": 24},
+        "sigma": 0.03,
+    }
+    assert run(tmp_path, "dipole-energy", cfg) == 0
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    (row,) = record["comparisons"]
+    assert row["reference"] == 0.0 and row["computed"] != 0.0
+    assert row["kind"] == "absolute"
+    scale = 1.0 / (4.0 * math.pi * 0.2**3)
+    assert row["tolerance"] == pytest.approx(TOLERANCES["pair_energy_rel"] * scale)
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        (
+            "bch-check",
+            '{"schema_version": 1, "xi_values": [0.1], "xi_values": [0.5]}',
+            "xi_values",
+        ),
+        (
+            "bch-check",
+            '{"schema_version": 1, "units": {"hbar": 1.0, "hbar": 2.0}}',
+            "hbar",
+        ),
+        (
+            "dipole-energy",
+            '{"schema_version": 1, "dipoles": [{"position": [0, 0, 0], '
+            '"moment": [1, 0, 0], "moment": [0, 1, 0]}]}',
+            "moment",
+        ),
+    ],
+    ids=["top-level", "units", "dipole"],
+)
+def test_repeated_key_is_rejected(tmp_path, capsys, command, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_readme_key_table_lists_each_schema_table():
     # the README's Required/Optional table documents the schema tables, so
     # the tables stay the single source of the config keys

@@ -23,7 +23,8 @@ from dipolegauge import (
     vector_potential_coeffs,
     UnitSystem,
 )
-from dipolegauge.field_modes import as_vec3
+from dipolegauge.coulomb_path import dipole_kernel
+from dipolegauge.field_modes import _box_sum, _dipole_tensor, as_vec3
 
 
 # --- lattice construction ---------------------------------------------------
@@ -331,3 +332,47 @@ def test_modesum_converges_toward_closed_form():
     coarse, fine = max_rel(8), max_rel(16)
     assert fine < coarse
     assert fine < 0.05
+
+
+# --- the one box sum and the one closed form --------------------------------
+
+
+def test_box_sum_stack_equals_row_calls(lattice8, rng):
+    offsets = rng.uniform(-0.4, 0.4, size=(5, 3))
+    offsets[2] = 0.0
+    stacked = _box_sum(lattice8, offsets, 0.04)
+    assert stacked.shape == (5, 3, 3)
+    for row, offset in zip(stacked, offsets):
+        assert np.array_equal(row, _box_sum(lattice8, offset[None], 0.04)[0])
+    assert _box_sum(lattice8, offsets[:0], 0.04).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "hbar, eps0, c",
+    [(1e-34, 1.0, 1.0), (1.0, 8.85e-12, 1.0), (1.0, 1.0, 3e8), (2.0, 0.5, 7.0)],
+)
+def test_box_sum_unit_covariance(rng, hbar, eps0, c):
+    # S_N carries 1 / eps0 and nothing of hbar or c
+    offsets = rng.uniform(-0.4, 0.4, size=(3, 3))
+    natural = _box_sum(build_mode_lattice(1.0, 4), offsets, 0.05)
+    scaled = _box_sum(
+        build_mode_lattice(1.0, 4, UnitSystem(hbar=hbar, epsilon0=eps0, c=c)),
+        offsets,
+        0.05,
+    )
+    atol = 1e-14 * np.max(np.abs(natural))
+    assert_allclose(eps0 * scaled, natural, rtol=1e-14, atol=atol)
+
+
+def test_closed_forms_contract_the_one_tensor(rng):
+    u = UnitSystem(hbar=2.0, epsilon0=0.3)
+    for _ in range(20):
+        R, d, dp = rng.normal(size=(3, 3))
+        core = _dipole_tensor(R, "unused")
+        assert np.array_equal(dipole_kernel(R), core)
+        unit = 4.0 * np.pi * u.epsilon0
+        tensor = analytic_dipole_tensor(R, u)
+        assert_allclose(tensor, 1j * u.hbar / unit * core, rtol=1e-15)
+        assert_allclose(e_dip_field(R, d, u), -(core @ d) / unit, rtol=1e-15)
+        energy = epsilon_dip(R, d, dp, u)
+        assert energy == pytest.approx(d @ core @ dp / unit, rel=1e-15)
