@@ -113,10 +113,12 @@ TOLERANCES = {
 
 @dataclass
 class Comparison:
-    """One computed-vs-reference row.
+    """One computed-vs-reference row; it passes when abs_error is within its gate.
 
-    ``kind`` is "relative" (tolerance scales |reference|) or "absolute"
-    (tolerance is a plain bound on the deviation).
+    A "relative" row's ``tolerance`` is a fraction of |reference|; an
+    "absolute" row's ``tolerance`` is the gate itself, tol * scale in the
+    units of the row.  The runners build every row through ``_row``, which
+    picks the kind.
     """
 
     name: str
@@ -137,9 +139,8 @@ class Comparison:
 
     @property
     def passed(self) -> bool:
-        if self.kind == "relative":
-            return self.abs_error <= self.tolerance * abs(self.reference)
-        return self.abs_error <= self.tolerance
+        allowed = self.tolerance * (abs(self.reference) if self.kind == "relative" else 1.0)
+        return self.abs_error <= allowed
 
     def to_dict(self) -> dict:
         return {
@@ -530,12 +531,14 @@ def _label(vec: np.ndarray) -> str:
 _ZERO_REFERENCE = 16 * np.finfo(float).eps
 
 
-def _gated(name: str, computed, reference, tol: float, scale: float) -> Comparison:
-    """Row relative to |reference|, or absolute at tol * scale for an analytic zero."""
+def _row(name, computed, reference, tol, scale=1.0, relative=True) -> Comparison:
+    """Row relative to |reference|, or absolute at tol * scale when the
+    reference is an analytic zero (a deviation's reference 0.0 always is) or
+    ``relative`` is False."""
     computed, reference = float(computed), float(reference)
-    if abs(reference) <= _ZERO_REFERENCE * scale:
-        return Comparison(name, computed, reference, tol * scale, "absolute")
-    return Comparison(name, computed, reference, tol, "relative")
+    if relative and abs(reference) > _ZERO_REFERENCE * scale:
+        return Comparison(name, computed, reference, tol)
+    return Comparison(name, computed, reference, tol * scale, "absolute")
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +564,7 @@ def _run_verify_commutator(cfg: dict):
             ).imag
             # analytically-zero entries are bounded against the dominant entry
             comparisons = [
-                _gated(
-                    f"entry[{i},{j}]", computed[i, j], reference[i, j], tol, dominant
-                )
+                _row(f"entry[{i},{j}]", computed[i, j], reference[i, j], tol, dominant)
                 for i in range(3)
                 for j in range(3)
             ]
@@ -604,7 +605,7 @@ def _run_dipole_energy(cfg: dict):
         # gaps run over the pairs in the report's (q, qp) order; a pair's
         # scale is |d_q| |d_qp| / (4 pi eps0 |R|^3)
         comparisons = [
-            _gated(
+            _row(
                 f"pair_route[{q},{qp}]",
                 routes[(q, qp)],
                 closed,
@@ -642,17 +643,11 @@ def _run_field_shift(cfg: dict):
         comparisons = []
         if lattice is not None:
             route = field_shift_from_commutator(config, lattice, point, sigma)
-            # per-entry rows bounded against the dominant component, so
+            # every component is bounded against the dominant one, so
             # analytically-zero components stay meaningful
-            dominant = float(np.max(np.abs(closed))) if len(config) else 0.0
+            dominant = float(np.max(np.abs(closed)))
             comparisons = [
-                Comparison(
-                    name=f"shift[{axis}]",
-                    computed=float(route[axis]),
-                    reference=float(closed[axis]),
-                    tolerance=tol * dominant,
-                    kind="absolute",
-                )
+                _row(f"shift[{axis}]", route[axis], closed[axis], tol, dominant, False)
                 for axis in range(3)
             ]
         outputs = {
@@ -675,37 +670,19 @@ def _coulomb_comparisons(
     tolerances: dict,
 ) -> list[Comparison]:
     scale = float(np.max(np.abs(minus_coulomb)))
+    recovery = np.max(np.abs(integral - minus_coulomb))
+    quad = np.max(np.abs(integral - oracle))
     return [
-        Comparison(
-            name="recovery_max_dev",
-            computed=float(np.max(np.abs(integral - minus_coulomb))),
-            reference=0.0,
-            tolerance=tolerances["coulomb_recovery_rel"] * scale,
-            kind="absolute",
-        ),
-        Comparison(
-            name="quad_vs_endpoint_formula",
-            computed=float(np.max(np.abs(integral - oracle))),
-            reference=0.0,
-            tolerance=tolerances["path_residual"] * scale,
-            kind="absolute",
-        ),
+        _row("recovery_max_dev", recovery, 0.0, tolerances["coulomb_recovery_rel"], scale),
+        _row("quad_vs_endpoint_formula", quad, 0.0, tolerances["path_residual"], scale),
     ]
-
-
-def _residual_row(name: str, residual: float, tolerances: dict) -> Comparison:
-    return Comparison(
-        name=name,
-        computed=residual,
-        reference=0.0,
-        tolerance=tolerances["path_residual"],
-        kind="absolute",
-    )
 
 
 def _run_coulomb_path(cfg: dict):
     units = cfg["units"]
     tolerances = cfg["tolerances"]
+    # path residuals are already normalized by |E_c|, so their scale is 1
+    tolerance = tolerances["path_residual"]
     quad_kwargs = {
         "exclusion_radius": cfg["exclusion_radius"],
         "quad_epsrel": cfg["quad_epsrel"],
@@ -722,7 +699,7 @@ def _run_coulomb_path(cfg: dict):
             residual = path_residual(integral, stairs_integral, point, cfg["charge"], units)
             comparisons = [
                 *_coulomb_comparisons(integral, oracle, minus_coulomb, tolerances),
-                _residual_row("straight_vs_staircase_residual", residual, tolerances),
+                _row("straight_vs_staircase_residual", residual, 0.0, tolerance),
             ]
             outputs = {
                 "point": point,
@@ -764,7 +741,7 @@ def _run_coulomb_path(cfg: dict):
                 integrals[(a, pt_idx)], integrals[(b, pt_idx)], point, charge, units
             )
             outputs = {"path_pair": [a, b], "point": point, "residual": residual}
-            row = _residual_row("path_independence_residual", residual, tolerances)
+            row = _row("path_independence_residual", residual, 0.0, tolerance)
             label = f"paths=({a},{b}) point={_label(point)}"
             yield label, tuple(point), outputs, [row], True
 
@@ -795,15 +772,7 @@ def _run_bch_check(cfg: dict):
             "interior": interior,
             "central_commutator": central.scalar_part,
         }
-        comparisons = [
-            Comparison(
-                name="interior_deviation",
-                computed=float(np.max(deviation)),
-                reference=0.0,
-                tolerance=tol,
-                kind="absolute",
-            )
-        ]
+        comparisons = [_row("interior_deviation", np.max(deviation), 0.0, tol)]
         yield f"xi={xi:g}", xi, outputs, comparisons, True
 
 
