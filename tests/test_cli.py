@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,18 @@ def test_unknown_command_exits_via_argparse(tmp_path):
         main(["frobnicate", "--config", "x.json"])
     with pytest.raises(SystemExit):
         main(["bch-check"])  # --config is required
+
+
+def test_entry_point_exits_with_main_code(tmp_path, monkeypatch, capsys):
+    # the console script reads sys.argv and exits with main's return code
+    good = write_config(tmp_path, {"schema_version": SCHEMA_VERSION})
+    for path, code in ((good, 0), (str(tmp_path / "missing.json"), 2)):
+        argv = ["bch-check", "--config", path]
+        assert main(argv) == code
+        monkeypatch.setattr(sys, "argv", ["dipolegauge", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry_point()
+        assert exit_info.value.code == code
 
 
 # --- exit 1 on tolerance failure --------------------------------------------
@@ -787,6 +800,45 @@ def test_csv_matches_golden(tmp_path, case):
                 assert moved <= 1e-9 * gate, (old["record"], old["comparison"], key)
 
 
+# how each row's scale moves when the units are rescaled by SCALED_UNITS: the
+# A-E tensor carries hbar / eps0, energies and fields 1 / eps0; the path
+# residuals are normalized by |E_c| and bch-check has no units
+SCALED_UNITS = {"hbar": 3.7, "epsilon0": 0.013, "c": 11.0}
+ROW_SCALE_FACTOR = {
+    "entry": 3.7 / 0.013,
+    "pair_route": 1.0 / 0.013,
+    "shift": 1.0 / 0.013,
+    "recovery_max_dev": 1.0 / 0.013,
+    "quad_vs_endpoint_formula": 1.0 / 0.013,
+    "straight_vs_staircase_residual": 1.0,
+    "path_independence_residual": 1.0,
+    "interior_deviation": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[f"{i}-{case['command']}" for i, case in enumerate(GOLDEN)]
+)
+def test_gates_are_unit_covariant(tmp_path, case):
+    # no absolute threshold decides the physics: in other units every golden
+    # config keeps its exit code and each row its kind and verdict, while an
+    # absolute row's gate moves with its scale and a relative row's not at all
+    out = tmp_path / "rows.csv"
+    cfg = {**case["config"], "units": SCALED_UNITS}
+    argv = ["--format", "csv", "--out", str(out)]
+    assert run(tmp_path, case["command"], cfg, *argv) == case["exit_code"]
+    want = list(csv.DictReader(io.StringIO(case["csv"])))
+    got = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+    keys = ("record", "comparison", "kind", "passed")
+    assert [[r[k] for k in keys] for r in got] == [[r[k] for k in keys] for r in want]
+    for new, old in zip(got, want):
+        factor = 1.0
+        if old["kind"] == "absolute":
+            factor = ROW_SCALE_FACTOR[old["comparison"].split("[")[0]]
+        expected = float(old["tolerance"]) * factor
+        assert float(new["tolerance"]) == pytest.approx(expected, rel=1e-12)
+
+
 def test_unwritable_out_path_is_an_output_error(tmp_path, capsys):
     # a directory, or a file in a missing directory, exits 2 with one line
     # on stderr; exit 1 is kept for tolerance failures
@@ -808,6 +860,28 @@ def test_comparison_semantics():
         name="z", computed=1e-9, reference=0.0, tolerance=1e-8, kind="absolute"
     )
     assert abs_zero.passed and abs_zero.rel_error is None
+    # an absolute row has no rel_error, whatever its reference
+    abs_nonzero = Comparison("a", 1.5, 1.0, 0.6, kind="absolute")
+    assert abs_nonzero.passed and abs_nonzero.rel_error is None
+
+    # _row: a reference up to 16 eps * scale is an analytic zero, gated
+    # absolutely at tol * scale; the next float above it is relative
+    tol, scale = 0.02, 3.0
+    edge = cli._ZERO_REFERENCE * scale
+    at_edge = cli._row("edge", 0.0, edge, tol, scale)
+    above = cli._row("above", 0.0, np.nextafter(edge, np.inf), tol, scale)
+    assert at_edge.kind == "absolute" and above.kind == "relative"
+    # a zero scale (field-shift with a lattice and no dipoles) gates at zero
+    empty = cli._row("empty", 0.0, 0.0, tol, 0.0)
+    assert empty.kind == "absolute" and empty.passed
+    assert not cli._row("empty", 1e-300, 0.0, tol, 0.0).passed
+    # relative=False gates even a large reference absolutely
+    forced = cli._row("forced", 1.5, 1.0, tol, 40.0, relative=False)
+    assert forced.kind == "absolute" and forced.passed and forced.rel_error is None
+    # the tolerance column holds tol on relative rows, tol * scale on absolute
+    record = cli.ResultRecord("x", "r", "", {}, [at_edge, above, empty, forced])
+    rows = csv.DictReader(io.StringIO(render_csv("x", [record])))
+    assert [float(row["tolerance"]) for row in rows] == [tol * scale, tol, 0.0, tol * 40.0]
 
 
 # a reference at rounding level of its row's scale is an analytic zero and is
@@ -849,6 +923,40 @@ def test_de_zero_pair_energy_is_absolute(tmp_path, capsys):
     assert row["kind"] == "absolute"
     scale = 1.0 / (4.0 * math.pi * 0.2**3)
     assert row["tolerance"] == pytest.approx(TOLERANCES["pair_energy_rel"] * scale)
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        (
+            "field-shift",
+            {
+                "schema_version": 1,
+                "dipoles": [
+                    {"position": [0.0, 0.0, 0.0], "moment": [1.0, 0.0, 0.0]},
+                    {"position": [0.15, 0.0, 0.0], "moment": [0.0, 0.0, 1.0]},
+                ],
+                "field_points": [[0.0, 0.0, 0.2]],
+                "lattice": {"half_extent": 8},
+                "sigma": 0.04,
+                "tolerances": {"field_shift_rel": 0.05},
+            },
+        ),
+        ("verify-commutator", {"schema_version": 1, "separations": [[0.075] * 3]}),
+    ],
+)
+def test_rel_error_is_blank_on_absolute_rows(tmp_path, capsys, command, cfg):
+    # an absolute row is gated against tol * scale, so abs_error / |reference|
+    # says nothing about it: field-shift gates each component against the
+    # dominant one, and a rounded-zero tensor entry divides by about 1e-14
+    assert run(tmp_path, command, cfg, "--format", "csv") == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert any(r["kind"] == "absolute" and float(r["reference"]) for r in rows)
+    assert all((r["rel_error"] == "") == (r["kind"] == "absolute") for r in rows)
+    assert run(tmp_path, command, cfg, "--format", "json") == 0
+    for record in json.loads(capsys.readouterr().out)["records"]:
+        for row in record["comparisons"]:
+            assert (row["rel_error"] is None) == (row["kind"] == "absolute")
 
 
 @pytest.mark.parametrize(
