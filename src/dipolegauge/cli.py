@@ -113,12 +113,13 @@ TOLERANCES = {
 
 @dataclass
 class Comparison:
-    """One computed-vs-reference row; it passes when abs_error is within its gate.
+    """One computed-vs-reference row; it passes when abs_error <= allowed.
 
-    A "relative" row's ``tolerance`` is a fraction of |reference|; an
-    "absolute" row's ``tolerance`` is the gate itself, tol * scale in the
-    units of the row.  The runners build every row through ``_row``, which
-    picks the kind.
+    A "relative" row's ``tolerance`` is a fraction of |reference|: allowed is
+    tolerance * |reference| and ``rel_error`` is abs_error / |reference|.  An
+    "absolute" row's ``tolerance`` is allowed itself, tol * scale in the
+    row's units, and its ``rel_error`` is None.  ``_row`` builds every row
+    and picks its kind.
     """
 
     name: str
@@ -133,7 +134,6 @@ class Comparison:
 
     @property
     def rel_error(self) -> float | None:
-        # an absolute row's reference may be zero or a rounding residue
         if self.kind != "relative":
             return None
         return self.abs_error / abs(self.reference)
@@ -532,7 +532,7 @@ def _label(vec: np.ndarray) -> str:
 _ZERO_REFERENCE = 16 * np.finfo(float).eps
 
 
-def _row(name, computed, reference, tol, scale=1.0, relative=True) -> Comparison:
+def _row(name, computed, reference, tol, scale=1.0, *, relative=True) -> Comparison:
     """Row relative to |reference|, or absolute at tol * scale when the
     reference is an analytic zero (a deviation's reference 0.0 always is) or
     ``relative`` is False."""
@@ -648,8 +648,8 @@ def _run_field_shift(cfg: dict):
             # analytically-zero components stay meaningful
             dominant = float(np.max(np.abs(closed)))
             comparisons = [
-                _row(f"shift[{axis}]", route[axis], closed[axis], tol, dominant, False)
-                for axis in range(3)
+                _row(f"shift[{axis}]", got, want, tol, dominant, relative=False)
+                for axis, (got, want) in enumerate(zip(route, closed))
             ]
         outputs = {
             "point": point,
@@ -683,7 +683,7 @@ def _run_coulomb_path(cfg: dict):
     units = cfg["units"]
     tolerances = cfg["tolerances"]
     # path residuals are already normalized by |E_c|, so their scale is 1
-    tolerance = tolerances["path_residual"]
+    residual_tol = tolerances["path_residual"]
     quad_kwargs = {
         "exclusion_radius": cfg["exclusion_radius"],
         "quad_epsrel": cfg["quad_epsrel"],
@@ -700,7 +700,7 @@ def _run_coulomb_path(cfg: dict):
             residual = path_residual(integral, stairs_integral, point, cfg["charge"], units)
             comparisons = [
                 *_coulomb_comparisons(integral, oracle, minus_coulomb, tolerances),
-                _row("straight_vs_staircase_residual", residual, 0.0, tolerance),
+                _row("straight_vs_staircase_residual", residual, 0.0, residual_tol),
             ]
             outputs = {
                 "point": point,
@@ -742,7 +742,7 @@ def _run_coulomb_path(cfg: dict):
                 integrals[(a, pt_idx)], integrals[(b, pt_idx)], point, charge, units
             )
             outputs = {"path_pair": [a, b], "point": point, "residual": residual}
-            row = _row("path_independence_residual", residual, 0.0, tolerance)
+            row = _row("path_independence_residual", residual, 0.0, residual_tol)
             label = f"paths=({a},{b}) point={_label(point)}"
             yield label, tuple(point), outputs, [row], True
 
