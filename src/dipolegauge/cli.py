@@ -35,7 +35,7 @@ import numpy as np
 
 from .coulomb_path import (
     ChargePath,
-    commutator_line_integral,
+    commutator_line_integrals,
     coulomb_field,
     line_integral_endpoint,
     path_residual,
@@ -684,17 +684,31 @@ def _run_coulomb_path(cfg: dict):
     tolerances = cfg["tolerances"]
     # path residuals are already normalized by |E_c|, so their scale is 1
     residual_tol = tolerances["path_residual"]
-    quad_kwargs = {
-        "exclusion_radius": cfg["exclusion_radius"],
-        "quad_epsrel": cfg["quad_epsrel"],
-    }
+    points = cfg["field_points"]
+
+    def integrate(jobs):
+        # every integral of the run in one batch, one per (path, point) job
+        return commutator_line_integrals(
+            jobs,
+            units,
+            exclusion_radius=cfg["exclusion_radius"],
+            quad_epsrel=cfg["quad_epsrel"],
+        )
+
     if cfg["charge_paths"] is None:
         # reference mode: straight and staircase path per field point
-        for point in cfg["field_points"]:
-            straight = straight_path(point, cfg["endpoint_factor"], cfg["charge"])
-            stairs = staircase_path(point, cfg["endpoint_factor"], cfg["charge"])
-            integral = commutator_line_integral(straight, point, units, **quad_kwargs)
-            stairs_integral = commutator_line_integral(stairs, point, units, **quad_kwargs)
+        pairs = [
+            (
+                straight_path(point, cfg["endpoint_factor"], cfg["charge"]),
+                staircase_path(point, cfg["endpoint_factor"], cfg["charge"]),
+            )
+            for point in points
+        ]
+        values = iter(
+            integrate([(path, point) for pair, point in zip(pairs, points) for path in pair])
+        )
+        for (straight, _), point in zip(pairs, points):
+            integral, stairs_integral = next(values), next(values)
             oracle = line_integral_endpoint(straight, point, units)
             minus_coulomb = -coulomb_field(point, cfg["charge"], units)
             residual = path_residual(integral, stairs_integral, point, cfg["charge"], units)
@@ -715,29 +729,27 @@ def _run_coulomb_path(cfg: dict):
         return
 
     # explicit-path mode
-    integrals = {}
-    for p_idx, path in enumerate(cfg["charge_paths"]):
-        for pt_idx, point in enumerate(cfg["field_points"]):
-            integral = commutator_line_integral(path, point, units, **quad_kwargs)
-            integrals[(p_idx, pt_idx)] = integral
-            oracle = line_integral_endpoint(path, point, units)
-            minus_coulomb = -coulomb_field(point, path.charge, units)
-            outputs = {
-                "path_index": p_idx,
-                "point": point,
-                "charge": path.charge,
-                "integral": integral,
-                "endpoint_formula": oracle,
-                "minus_coulomb_field": minus_coulomb,
-            }
-            comparisons = _coulomb_comparisons(
-                integral, oracle, minus_coulomb, tolerances
-            )
-            label = f"path={p_idx} point={_label(point)}"
-            yield label, tuple(point), outputs, comparisons, True
+    paths = cfg["charge_paths"]
+    keys = list(np.ndindex(len(paths), len(points)))
+    integrals = dict(zip(keys, integrate([(paths[p], points[q]) for p, q in keys])))
+    for (p_idx, pt_idx), integral in integrals.items():
+        path, point = paths[p_idx], points[pt_idx]
+        oracle = line_integral_endpoint(path, point, units)
+        minus_coulomb = -coulomb_field(point, path.charge, units)
+        outputs = {
+            "path_index": p_idx,
+            "point": point,
+            "charge": path.charge,
+            "integral": integral,
+            "endpoint_formula": oracle,
+            "minus_coulomb_field": minus_coulomb,
+        }
+        comparisons = _coulomb_comparisons(integral, oracle, minus_coulomb, tolerances)
+        label = f"path={p_idx} point={_label(point)}"
+        yield label, tuple(point), outputs, comparisons, True
     for a, b in cfg["path_pairs"]:
-        charge = cfg["charge_paths"][a].charge
-        for pt_idx, point in enumerate(cfg["field_points"]):
+        charge = paths[a].charge
+        for pt_idx, point in enumerate(points):
             residual = path_residual(
                 integrals[(a, pt_idx)], integrals[(b, pt_idx)], point, charge, units
             )

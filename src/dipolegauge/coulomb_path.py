@@ -13,10 +13,12 @@ Both evaluation routes are provided: adaptive quadrature of the kernel along
 the polyline, and the exact endpoint antiderivative that serves as its test
 oracle.  The quadrature is QUADPACK's globally adaptive Gauss-Kronrod
 21-point (GK21) rule with the bisection order and stop rule of scipy's
-adaptive vector quadrature (scipy.integrate), reproduced in numpy so that
-each round's nodes go to the kernel in one call while every result equals
-scipy's bit for bit.  All functions are pure; segment quadratures are
-accumulated in path order, so results are deterministic.
+adaptive vector quadrature (scipy.integrate), reproduced in numpy.  Every
+segment integral of a batch of (path, field point) jobs runs that loop on its
+own, but all advance in lockstep, so each round's nodes of all of them go to
+the kernel in one call, while every result equals scipy's bit for bit.  All
+functions are pure; segment quadratures are accumulated in path order, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "coulomb_field",
     "dipole_kernel",
     "commutator_line_integral",
+    "commutator_line_integrals",
     "line_integral_endpoint",
     "path_residual",
     "path_independence_residual",
@@ -189,6 +192,7 @@ _GK21_GAUSS_WEIGHTS = np.concatenate([_GK21_RIGHT_GAUSS, _GK21_RIGHT_GAUSS[::-1]
 _QUAD_EPSABS = 1e-14
 _QUAD_LIMIT = 10000  # most subintervals before the loop gives up
 _QUAD_BATCH = 128  # most subintervals bisected per round
+_QUAD_ROWS = 4096  # most subintervals in one _gk21 call of a batch
 
 
 def _node_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -228,60 +232,126 @@ def _gk21(lo: np.ndarray, hi: np.ndarray, integrand):
     return half[:, None] * kronrod, errs, rounds
 
 
-def _integrate_unit_interval(integrand, epsrel: float) -> np.ndarray:
-    """Integral over [0, 1] by globally adaptive GK21 bisection.
+class _AdaptiveIntegral:
+    """One integral's state in scipy.integrate's adaptive loop over [0, 1].
 
-    This is the loop of scipy.integrate's adaptive vector quadrature for a
-    finite interval with the GK21 rule, norm='2', epsabs=_QUAD_EPSABS and
-    limit=_QUAD_LIMIT, step for step, so the result is the same to the last
-    bit.  Subintervals sit in a heap keyed (-error, lo, hi).  Each round
-    bisects up to _QUAD_BATCH of the worst while their summed error stays
-    within the global error less tol / 8, and updates the totals interval by
-    interval in pop order.  The loop stops when the global error is below
-    tol / 8 with at least two subintervals, or below the accumulated rounding
-    error, or is no longer finite.
+    Subintervals sit in a heap keyed (-error, lo, hi), their GK21 values in
+    ``estimates``.  ``pop`` and ``push`` are the two halves of one round of
+    that loop, split so that the subintervals of many integrals can be
+    evaluated in between by one ``_gk21`` call.
     """
-    first, errs, rounds = _gk21(np.array([0.0]), np.array([1.0]), integrand)
-    total = first[0].copy()
-    global_error, rounding_error = errs[0], rounds[0]
-    estimates = {(0.0, 1.0): first[0]}
-    heap = [(-errs[0], 0.0, 1.0)]
-    while heap and len(heap) < _QUAD_LIMIT:
-        tol = max(_QUAD_EPSABS, epsrel * _norm2(total))
+
+    def __init__(self, value: np.ndarray, error: float, rounding: float):
+        self.total = value.copy()
+        self.global_error, self.rounding_error = error, rounding
+        self.estimates = {(0.0, 1.0): value}
+        self.heap = [(-error, 0.0, 1.0)]
+
+    def pop(self, epsrel: float) -> list:
+        """Up to _QUAD_BATCH of the worst subintervals, as (error, lo, hi,
+        estimate), while their summed error stays within the global error
+        less tol / 8."""
+        tol = max(_QUAD_EPSABS, epsrel * _norm2(self.total))
         popped = []
         err_sum = 0.0
-        while heap and len(popped) < _QUAD_BATCH:
-            if popped and err_sum > global_error - tol / 8:
+        while self.heap and len(popped) < _QUAD_BATCH:
+            if popped and err_sum > self.global_error - tol / 8:
                 break
-            neg_err, lo, hi = heapq.heappop(heap)
+            neg_err, lo, hi = heapq.heappop(self.heap)
             # keys are unique while midpoints fall strictly inside their
             # intervals; the rounding-error stop comes long before that fails
-            popped.append((-neg_err, lo, hi, estimates.pop((lo, hi))))
+            popped.append((-neg_err, lo, hi, self.estimates.pop((lo, hi))))
             err_sum += -neg_err
-        lo = np.array([p[1] for p in popped])
-        hi = np.array([p[2] for p in popped])
-        mid = 0.5 * (lo + hi)
-        halves, errs, rounds = _gk21(
-            np.concatenate([lo, mid]), np.concatenate([mid, hi]), integrand
-        )
-        n = len(popped)
-        for k, (old_err, a, b, old) in enumerate(popped):
-            c = mid[k].item()
-            left, right = halves[k], halves[n + k]
-            total += left + right - old
-            global_error += errs[k] + errs[n + k] - old_err
-            rounding_error += rounds[k] + rounds[n + k]
+        return popped
+
+    def push(self, popped, halves, epsrel: float) -> bool:
+        """Replace each popped subinterval by its halves, in pop order.
+
+        ``halves[k]`` is (c, left, left_err, left_rounding, right, right_err,
+        right_rounding) for the halves [lo, c] and [c, hi] of ``popped[k]``.
+        Returns whether the loop goes on: it stops when the global error is
+        below tol / 8 with at least two subintervals, or below the
+        accumulated rounding error, or is no longer finite, or the heap holds
+        _QUAD_LIMIT subintervals.
+        """
+        heap, estimates = self.heap, self.estimates
+        for (old_err, a, b, old), half in zip(popped, halves):
+            c, left, left_err, left_rnd, right, right_err, right_rnd = half
+            self.total += left + right - old
+            self.global_error += left_err + right_err - old_err
+            self.rounding_error += left_rnd + right_rnd
             estimates[(a, c)] = left
             estimates[(c, b)] = right
-            heapq.heappush(heap, (-errs[k], a, c))
-            heapq.heappush(heap, (-errs[n + k], c, b))
+            heapq.heappush(heap, (-left_err, a, c))
+            heapq.heappush(heap, (-right_err, c, b))
         if len(heap) >= 2:
-            tol = max(_QUAD_EPSABS, epsrel * _norm2(total))
-            if global_error < tol / 8 or global_error < rounding_error:
-                break
-        if not (math.isfinite(global_error) and math.isfinite(rounding_error)):
-            break
-    return total
+            tol = max(_QUAD_EPSABS, epsrel * _norm2(self.total))
+            if self.global_error < tol / 8 or self.global_error < self.rounding_error:
+                return False
+        if not (math.isfinite(self.global_error) and math.isfinite(self.rounding_error)):
+            return False
+        return len(heap) < _QUAD_LIMIT
+
+
+def _segment_integrals(
+    starts: np.ndarray, dirs: np.ndarray, points: np.ndarray, epsrel: float
+) -> np.ndarray:
+    """Integral over u in [0, 1] of dipole_kernel(a + u d - r) @ d per row.
+
+    Row j has segment start a = starts[j], direction d = dirs[j] and field
+    point r = points[j]; the result has shape (n, 3).  Each row runs the loop
+    of scipy.integrate's adaptive vector quadrature for a finite interval
+    with the GK21 rule, norm='2', epsabs=_QUAD_EPSABS and limit=_QUAD_LIMIT,
+    step for step, so its value is scipy's to the last bit.  The rows advance
+    in lockstep: each round, the subintervals that every live row bisects go
+    to ``_gk21`` together, at most _QUAD_ROWS to a call.  The GK21 arithmetic
+    of a subinterval does not depend on the others evaluated with it, so
+    this changes no bit of any row.
+    """
+
+    def evaluate(rows, lo, hi):
+        values, errs, rounds = [], [], []
+        for s in range(0, len(lo), _QUAD_ROWS):
+            part = slice(s, s + _QUAD_ROWS)
+            a, d, r = (x[rows[part], None] for x in (starts, dirs, points))
+
+            def integrand(u, a=a, d=d, r=r):
+                return (dipole_kernel(a + u[..., None] * d - r) @ d[..., None])[..., 0]
+
+            part_values, part_errs, part_rounds = _gk21(lo[part], hi[part], integrand)
+            values.append(part_values)
+            errs += part_errs
+            rounds += part_rounds
+        return np.concatenate(values), errs, rounds
+
+    count = len(starts)
+    first, errs, rounds = evaluate(np.arange(count), np.zeros(count), np.ones(count))
+    quads = [_AdaptiveIntegral(first[j], errs[j], rounds[j]) for j in range(count)]
+    live = list(range(count))
+    while live:
+        popped = [quads[j].pop(epsrel) for j in live]
+        rows = np.repeat(live, [len(p) for p in popped])
+        lo = np.array([p[1] for batch in popped for p in batch])
+        hi = np.array([p[2] for batch in popped for p in batch])
+        mid = 0.5 * (lo + hi)
+        n = len(lo)
+        values, errs, rounds = evaluate(
+            np.concatenate([rows, rows]),
+            np.concatenate([lo, mid]),
+            np.concatenate([mid, hi]),
+        )
+        halves = list(zip(
+            mid.tolist(), values[:n], errs[:n], rounds[:n], values[n:], errs[n:], rounds[n:]
+        ))
+        still_live = []
+        start = 0
+        for j, batch in zip(live, popped):
+            stop = start + len(batch)
+            if quads[j].push(batch, halves[start:stop], epsrel):
+                still_live.append(j)
+            start = stop
+        live = still_live
+    return np.array([q.total for q in quads])
 
 
 def _segment_clearance(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> float:
@@ -313,13 +383,14 @@ def commutator_line_integral(
     """Commutator of the line-integral gauge exponent with the field at r.
 
     Integrates -(q / (4 pi eps0)) dipole_kernel(s - r) . ds along the polyline
-    by adaptive GK21 quadrature, one segment at a time in path order.  Each
-    segment stops by the rule of scipy.integrate's adaptive vector quadrature
-    (global error below tol / 8 with tol = max(1e-14, quad_epsrel |integral|),
-    or below the accumulated rounding error), and its value equals scipy's
-    with norm='2', epsabs=1e-14 and epsrel=quad_epsrel bit for bit.  The
-    expected value is minus the Coulomb field of the charge, short of the
-    endpoint truncation term.
+    by adaptive GK21 quadrature, each segment on its own and summed in path
+    order.  Each segment stops by the rule of scipy.integrate's adaptive
+    vector quadrature (global error below tol / 8 with
+    tol = max(1e-14, quad_epsrel |integral|), or below the accumulated
+    rounding error), and its value equals scipy's with norm='2',
+    epsabs=1e-14 and epsrel=quad_epsrel bit for bit.  The expected value is
+    minus the Coulomb field of the charge, short of the endpoint truncation
+    term.  This is ``commutator_line_integrals`` of the one job (path, r).
 
     The result is also the c-number correction, transformed minus original
     field operator at r.  Field operators conjugate by the full adjoint, so
@@ -343,23 +414,52 @@ def commutator_line_integral(
     quad_epsrel : float, optional
         Per-segment relative quadrature tolerance.
     """
-    r = as_vec3(r, "r")
-    dist = _separation(r, "field point must be away from the origin")
-    if exclusion_radius is None:
-        exclusion_radius = 1e-6 * dist
-    _check_clearance(path, r, exclusion_radius)
-    if path.charge == 0.0:
-        return np.zeros(3)
-    total = np.zeros(3)
-    for i in range(path.num_segments):
-        a = path.vertices[i]
-        seg = path.vertices[i + 1] - a
+    (value,) = commutator_line_integrals(
+        [(path, r)], units, exclusion_radius=exclusion_radius, quad_epsrel=quad_epsrel
+    )
+    return value
 
-        def integrand(u, a=a, seg=seg):
-            return dipole_kernel(a + u[..., None] * seg - r) @ seg
 
-        total += _integrate_unit_interval(integrand, quad_epsrel)
-    return -path.charge / (4.0 * np.pi * units.epsilon0) * total
+def commutator_line_integrals(
+    jobs,
+    units: UnitSystem = NATURAL,
+    *,
+    exclusion_radius: float | None = None,
+    quad_epsrel: float = 1e-9,
+) -> list[np.ndarray]:
+    """``commutator_line_integral(path, r, ...)`` of every (path, r) job.
+
+    Every job is checked first, in order, so the first invalid one raises
+    before any quadrature.  The segment integrals of all jobs then advance
+    together, so each adaptive round costs one kernel call rather than one
+    per segment; each result equals the one-job call bit for bit.
+    """
+    checked = []
+    for path, r in jobs:
+        r = as_vec3(r, "r")
+        dist = _separation(r, "field point must be away from the origin")
+        radius = 1e-6 * dist if exclusion_radius is None else exclusion_radius
+        _check_clearance(path, r, radius)
+        checked.append((path, r))
+    # the segments of every charged job, in job then path order
+    integrated = [(path, r) for path, r in checked if path.charge != 0.0]
+    if integrated:
+        starts = np.concatenate([path.vertices[:-1] for path, _ in integrated])
+        dirs = np.concatenate([np.diff(path.vertices, axis=0) for path, _ in integrated])
+        points = np.concatenate(
+            [np.broadcast_to(r, (path.num_segments, 3)) for path, r in integrated]
+        )
+        segment_values = iter(_segment_integrals(starts, dirs, points, quad_epsrel))
+    results = []
+    for path, _ in checked:
+        if path.charge == 0.0:
+            results.append(np.zeros(3))
+            continue
+        total = np.zeros(3)
+        for _ in range(path.num_segments):
+            total += next(segment_values)
+        results.append(-path.charge / (4.0 * np.pi * units.epsilon0) * total)
+    return results
 
 
 def line_integral_endpoint(
@@ -414,10 +514,10 @@ def path_independence_residual(
         raise ValueError(
             f"paths carry different charges ({path1.charge} vs {path2.charge})"
         )
-    first = commutator_line_integral(
-        path1, r, units, exclusion_radius=exclusion_radius, quad_epsrel=quad_epsrel
-    )
-    second = commutator_line_integral(
-        path2, r, units, exclusion_radius=exclusion_radius, quad_epsrel=quad_epsrel
+    first, second = commutator_line_integrals(
+        [(path1, r), (path2, r)],
+        units,
+        exclusion_radius=exclusion_radius,
+        quad_epsrel=quad_epsrel,
     )
     return path_residual(first, second, r, path1.charge, units)

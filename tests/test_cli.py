@@ -256,7 +256,7 @@ def test_cp_charge_mismatch_rejected_before_quadrature(
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran before validation finished")
 
-    monkeypatch.setattr("dipolegauge.cli.commutator_line_integral", no_quadrature)
+    monkeypatch.setattr("dipolegauge.cli.commutator_line_integrals", no_quadrature)
     cfg = cp_config()
     cfg["charge_paths"][1]["charge"] = 2.0
     if path_pairs is not None:

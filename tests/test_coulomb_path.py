@@ -8,7 +8,9 @@ from dipolegauge import (
     PathSingularityError,
     UnitSystem,
     commutator_line_integral,
+    commutator_line_integrals,
     coulomb_field,
+    coulomb_path,
     dipole_kernel,
     e_dip_field,
     line_integral_endpoint,
@@ -163,7 +165,7 @@ def _quad_vec_line_integral(path, r, epsrel):
 
 
 @pytest.mark.parametrize("epsrel", [1e-6, 1e-9, 1e-12, 1e-16])
-def test_quadrature_equals_quad_vec_bit_for_bit(epsrel):
+def test_quadrature_equals_quad_vec_bit_for_bit(epsrel, monkeypatch):
     # clearances 1e-3..1 and lengths 0.05..200; epsrel = 1e-16 ends by the
     # rounding-error stop rather than the tolerance
     rng = np.random.default_rng(int(-np.log10(epsrel)))
@@ -184,9 +186,19 @@ def test_quadrature_equals_quad_vec_bit_for_bit(epsrel):
     corners = np.vstack([np.zeros(3), rng.uniform(-3.0, 3.0, size=(3, 3))])
     r = rng.uniform(-3.0, 3.0, size=3)
     cases.append((ChargePath(vertices=corners, charge=2.5), r))
-    for path, r in cases:
+    expected = [_quad_vec_line_integral(path, r, epsrel) for path, r in cases]
+    for (path, r), want in zip(cases, expected):
         computed = commutator_line_integral(path, r, quad_epsrel=epsrel)
-        assert np.array_equal(computed, _quad_vec_line_integral(path, r, epsrel))
+        assert np.array_equal(computed, want)
+    # all cases in one batch, every segment integral advancing in lockstep,
+    # with each round's subintervals in one kernel call and in calls of 5
+    for rows in (None, 5):
+        if rows is not None:
+            monkeypatch.setattr(coulomb_path, "_QUAD_ROWS", rows)
+        batch = commutator_line_integrals(cases, quad_epsrel=epsrel)
+        assert len(batch) == len(cases)
+        for computed, want in zip(batch, expected):
+            assert np.array_equal(computed, want)
 
 
 def test_recovery_of_coulomb_field():
