@@ -449,7 +449,13 @@ def fock_matrix(p: OperatorPolynomial, config: FockOracleConfig) -> np.ndarray:
         key = (slot, n_cre, n_ann)
         if key not in local_cache:
             a = lowering[slot]
-            block = np.linalg.matrix_power(a.T, n_cre) @ np.linalg.matrix_power(a, n_ann)
+            # a zeroth power is the identity, so its dense product is skipped
+            if not n_ann:
+                block = np.linalg.matrix_power(a.T, n_cre)
+            elif not n_cre:
+                block = np.linalg.matrix_power(a, n_ann)
+            else:
+                block = np.linalg.matrix_power(a.T, n_cre) @ np.linalg.matrix_power(a, n_ann)
             local_cache[key] = block
         return local_cache[key]
 
@@ -480,27 +486,55 @@ def fock_adjoint_oracle(
 
     X must be anti-Hermitian in its coefficient pattern so that e^(-X) is the
     conjugate transpose of e^X and the truncated conjugation stays exactly
-    unitary.  The result is the dense matrix U Y U^dag with U = e^X taken
-    spectrally (``_exp_anti_hermitian``); it is trustworthy away from the
-    truncation edge, which is why comparisons against the closed-form
-    identities should restrict to an interior block.
+    unitary.  The result is the dense complex matrix U Y U^dag with U = e^X
+    taken spectrally (``_exp_anti_hermitian``, which is given each basis
+    state's total occupation); when U and Y are both real it is formed as
+    the real product U Y U^T.  It is trustworthy away from the truncation
+    edge, which is why comparisons against the closed-form identities should
+    restrict to an interior block.
     """
     if not x.is_anti_hermitian():
         raise ValueError(
             "oracle generator must have an anti-Hermitian coefficient pattern"
         )
-    u = _exp_anti_hermitian(fock_matrix(x, config))
-    return u @ fock_matrix(y, config) @ u.conj().T
+    shape = config.truncations
+    occupations = np.indices(shape).reshape(len(shape), -1).sum(axis=0)
+    u = _exp_anti_hermitian(fock_matrix(x, config), occupations)
+    ym = fock_matrix(y, config)
+    if np.isrealobj(u) and not np.any(ym.imag):
+        return (u @ ym.real @ u.T).astype(complex)
+    return u @ ym @ u.conj().T
 
 
-def _exp_anti_hermitian(xm: np.ndarray) -> np.ndarray:
+def _exp_anti_hermitian(xm: np.ndarray, occupations=None) -> np.ndarray:
     """e^X of a dense anti-Hermitian matrix, unitary by construction.
 
     H = -iX is Hermitian: with H = V diag(w) V^dag, e^X = V diag(e^(iw)) V^dag.
     ``eigh`` reads one triangle only, so H is first taken as (H + H^dag) / 2:
     a rounding-level anti-Hermitian defect of X enters through its mean rather
     than being dropped unseen, and an exactly anti-Hermitian X is unchanged.
+
+    Real route: when X is exactly real and couples only basis states whose
+    ``occupations`` n (the basis index by default) differ by an odd number,
+    e^X is real orthogonal and is formed in real arithmetic.  With the phases
+    D = diag(i^n), S = D^* H D is real symmetric, S = V diag(w) V^T, and
+    e^X = D (C + i Sn) D^* with C = V cos(w) V^T and Sn = V sin(w) V^T.  S
+    flips the parity of n, so C couples equal and Sn opposite parities only,
+    and entry (m, k) of e^X is C, -Sn, -C or Sn for n_m - n_k = 0, 1, 2 or 3
+    mod 4.  The test of X is what makes the route exact, for any integer
+    labels n.  Otherwise the result is the complex e^X above.
     """
+    n = np.arange(len(xm)) if occupations is None else np.asarray(occupations)
+    n = (n % 4).astype(np.int8)
+    diff = (n[:, None] - n[None, :]) % 4
+    if not np.any(xm.imag) and not np.any(xm[diff % 2 == 0]):
+        # S[m, k] = -i i^(n_k - n_m) X[m, k]: -X where diff is 1, X where 3
+        x = xm.real
+        s = np.where(diff == 3, x, -x)
+        w, v = np.linalg.eigh(0.5 * (s + s.T))
+        c = (v * np.cos(w)) @ v.T
+        sn = (v * np.sin(w)) @ v.T
+        return np.choose(diff, [c, -sn, -c, sn])
     h = -1j * xm
     w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
     return (v * np.exp(1j * w)) @ v.conj().T
