@@ -684,17 +684,12 @@ def _run_coulomb_path(cfg: dict):
     tolerances = cfg["tolerances"]
     # path residuals are already normalized by |E_c|, so their scale is 1
     residual_tol = tolerances["path_residual"]
+    quad_kwargs = {
+        "exclusion_radius": cfg["exclusion_radius"],
+        "quad_epsrel": cfg["quad_epsrel"],
+    }
+    # every integral of a run goes into one batch, one per (path, point) job
     points = cfg["field_points"]
-
-    def integrate(jobs):
-        # every integral of the run in one batch, one per (path, point) job
-        return commutator_line_integrals(
-            jobs,
-            units,
-            exclusion_radius=cfg["exclusion_radius"],
-            quad_epsrel=cfg["quad_epsrel"],
-        )
-
     if cfg["charge_paths"] is None:
         # reference mode: straight and staircase path per field point
         pairs = [
@@ -704,9 +699,8 @@ def _run_coulomb_path(cfg: dict):
             )
             for point in points
         ]
-        values = iter(
-            integrate([(path, point) for pair, point in zip(pairs, points) for path in pair])
-        )
+        jobs = [(path, point) for pair, point in zip(pairs, points) for path in pair]
+        values = iter(commutator_line_integrals(jobs, units, **quad_kwargs))
         for (straight, _), point in zip(pairs, points):
             integral, stairs_integral = next(values), next(values)
             oracle = line_integral_endpoint(straight, point, units)
@@ -731,7 +725,8 @@ def _run_coulomb_path(cfg: dict):
     # explicit-path mode
     paths = cfg["charge_paths"]
     keys = list(np.ndindex(len(paths), len(points)))
-    integrals = dict(zip(keys, integrate([(paths[p], points[q]) for p, q in keys])))
+    jobs = [(paths[p], points[q]) for p, q in keys]
+    integrals = dict(zip(keys, commutator_line_integrals(jobs, units, **quad_kwargs)))
     for (p_idx, pt_idx), integral in integrals.items():
         path, point = paths[p_idx], points[pt_idx]
         oracle = line_integral_endpoint(path, point, units)

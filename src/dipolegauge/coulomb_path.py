@@ -431,8 +431,9 @@ def commutator_line_integrals(
 
     Every job is checked first, in order, so the first invalid one raises
     before any quadrature.  The segment integrals of all jobs then advance
-    together, so each adaptive round costs one kernel call rather than one
-    per segment; each result equals the one-job call bit for bit.
+    in lockstep and share each adaptive round's kernel call, rather than
+    making one call per segment and round; each result equals the one-job
+    call bit for bit.
     """
     checked = []
     for path, r in jobs:
