@@ -10,19 +10,23 @@ for them.  Summing coefficient products over modes gives the equal-time
 commutator of the two fields, which converges (away from contact) to the
 closed-form dipole-kernel tensor provided by :func:`analytic_dipole_tensor`.
 
-Every regulated mode sum is a contraction of one box sum, formed only by
-``_box_sum``: S_N(rho) = (2 / (eps0 V)) sum_k w_k cos(k . rho) (1 - khat
-khat^T) over the first M // 2 modes, exact because the summand is even in k
-and mode M - 1 - i is -k_i.  The A-E kernel is -i hbar S_N(rho), the field
-shift sum_q S_N(R_q - R) d_q, the self energy -(1/2) d^T S_N(0) d; the pair
-energies take S_N as one Gram matrix.  The closed-form limit
+Every regulated mode sum runs over the first M // 2 modes of ``_half_modes``,
+exact because the summand is even in k and mode M - 1 - i is -k_i.  The box
+sum S_N(rho) = (2 / (eps0 V)) sum_k w_k cos(k . rho) (1 - khat khat^T) is
+formed only by ``_box_sum``: the A-E kernel is -i hbar S_N(rho), the field
+shift sum_q S_N(R_q - R) d_q, the self energy -(1/2) d^T S_N(0) d.  The pair
+energies -d_q^T S_N(R_q - R_p) d_p of all pairs come instead from one Gram
+matrix (:func:`dipolegauge.gauge_dipole.pair_energies_from_commutator`), in
+the split form d_q . d_p - (khat . d_q)(khat . d_p) with e^{i k . R} gathered
+from per-axis phase factors over ``_axis_wavenumbers``; tests hold it to the
+per-pair ``_box_sum`` route.  The closed-form limit
 (delta - 3 rhohat rhohat^T) / |rho|^3 is formed only by ``_dipole_tensor``.
 
 All functions here are pure and treat their array inputs as immutable.  Mode
 sums are numpy reductions and small BLAS matrix products (the khat contraction
-of ``_box_sum``, the pair Gram matrix of
-:func:`dipolegauge.gauge_dipole.pair_energies_from_commutator`), so repeated
-calls produce bit-identical results for a fixed BLAS thread count.
+of ``_box_sum``, the two Gram products per chunk of modes of the pair
+energies), so repeated calls produce bit-identical results for a fixed BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -99,7 +103,12 @@ class ModeLattice:
     The number of modes M is even, and mode M - 1 - i is the negation of
     mode i: ``kvecs[M // 2:]`` equals the negated, reversed first half exactly
     and ``knorm[M // 2:]`` equals the reversed first half, which lets every
-    mode sum even in k run over the first M // 2 modes.
+    mode sum even in k run over the first M // 2 modes.  Half-mode i < M // 2
+    has the labels ``np.unravel_index(i, (2 N + 1,) * 3)`` minus N, with
+    N = half_extent, so component a of ``kvecs[i]`` is, bit for bit, entry
+    ``unravel_index(i)[a]`` of the per-axis wavenumbers 2 pi n / L
+    (``_axis_wavenumbers``); the pair Gram gathers e^{i k . R} from per-axis
+    phase factors by this rule.
 
     Attributes
     ----------
@@ -167,7 +176,7 @@ def build_mode_lattice(
     if not isinstance(units, UnitSystem):
         raise ValueError("units must be a UnitSystem instance")
 
-    axis = (2.0 * np.pi / box_length) * np.arange(-half_extent, half_extent + 1)
+    axis = _axis_wavenumbers(float(box_length), int(half_extent))
     # an 'ij' meshgrid flattened in C order is lexicographic in (n_x, n_y, n_z);
     # the zero mode is the middle row
     grid = np.meshgrid(axis, axis, axis, indexing="ij", copy=False)
@@ -180,6 +189,15 @@ def build_mode_lattice(
         kvecs=_read_only(kvecs),
         knorm=_read_only(np.linalg.norm(kvecs, axis=1)),
     )
+
+
+def _axis_wavenumbers(box_length: float, half_extent: int) -> np.ndarray:
+    """Per-axis wavenumbers 2 pi n / L for n = -half_extent .. half_extent.
+
+    Every component of every lattice wavevector is one of these values, bit
+    for bit; see the ordering invariant of :class:`ModeLattice`.
+    """
+    return (2.0 * np.pi / box_length) * np.arange(-half_extent, half_extent + 1)
 
 
 def transverse_projectors(lattice: ModeLattice) -> np.ndarray:

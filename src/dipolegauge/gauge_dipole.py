@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DegenerateSeparationError
 from .field_modes import (
     ModeLattice,
+    _axis_wavenumbers,
     _box_sum,
     _dipole_tensor,
     _half_modes,
@@ -277,9 +278,10 @@ def epsilon_dip_from_commutator(
     return float(value.real)
 
 
-# bytes of one complex (n, modes, 3) block per chunk, about 800 modes for 27
-# dipoles: the blocks of all 117648 modes at N = 24 at once take about 320 MB,
-# and chunks from 300 KB to 8 MB ran equally fast
+# bytes of the three complex (n, modes) temporaries a chunk holds at once (the
+# gathered phase factors, the weighted waves, their k-projected copy), about
+# 800 modes for 27 dipoles; chunks from 300 KB to 8 MB of the earlier
+# (n, modes, 3) blocks ran equally fast, and larger ones raise peak memory
 _GRAM_CHUNK_BYTES = 2**20
 
 
@@ -288,35 +290,52 @@ def pair_energies_from_commutator(
 ) -> dict[tuple[int, int], float]:
     """Every pair energy of :func:`epsilon_dip_from_commutator` from one Gram matrix.
 
-    P_k = 1 - khat khat^T is idempotent, so -d_q^T S_N(R_q - R_p) d_p is
-    -(2 / (eps0 V)) G[q, p] with G = Re(V V^H) over the flattened (mode,
-    channel) axis of V[q, k, :] = sqrt(w_k) e^{i k . R_q} P_k d_q on the first
-    M // 2 modes.  G is accumulated over chunks of modes, as the cosine and
-    sine parts of V, and hbar never enters.
+    -d_q^T S_N(R_q - R_p) d_p is -(2 / (eps0 V)) G[q, p] with
+    G[q, p] = sum_k w_k cos(k . (R_q - R_p)) d_q^T P_k d_p over the first
+    M // 2 modes.  P_k = 1 - khat khat^T is symmetric and idempotent, so
+    d_q^T P_k d_p = d_q . d_p - (khat . d_q)(khat . d_p) and
+
+        G = D o Re(E W E^H) - Re(A W A^H),
+
+    with D = d d^T, o the elementwise product, W = diag(w_k),
+    E[q, k] = e^{i k . R_q} and A[q, k] = (khat . d_q) E[q, k].  Each
+    product is accumulated over chunks of modes as the real (n, 2 modes)
+    block of the cosine and sine parts of sqrt(w) E or sqrt(w) A.  E is
+    gathered from per-axis factors e^{i k_x X_q} e^{i k_y Y_q} e^{i k_z Z_q},
+    3 (2 N + 1) complex exponentials per dipole, by the ordering invariant of
+    :class:`ModeLattice`; hbar never enters.
 
     Returns a dict keyed (q, qp) with q > qp, in the order of
     :attr:`TransformReport.pair_energies`; empty for fewer than two dipoles.
     Values match the per-pair route to summation-order rounding.
     """
     _require_matching_units(config, lattice)
-    kvecs, khat, weights = _half_modes(lattice, sigma)
+    _, khat, weights = _half_modes(lattice, sigma)
     n = len(config)
     if n < 2:
         return {}
     moments = np.array([dip.moment for dip in config.dipoles])
     positions = np.array([dip.position for dip in config.dipoles])
+    axis = _axis_wavenumbers(lattice.box_length, lattice.half_extent)
+    # (n, 2N + 1) per-axis factors e^{i k_a R_qa}, a = x, y, z
+    fx, fy, fz = np.exp(1j * (positions.T[:, :, None] * axis))
+    labels = (len(axis),) * 3
     root_w = np.sqrt(weights)
     chunk = max(1, _GRAM_CHUNK_BYTES // (3 * n * 16))
-    gram = np.zeros((n, n))
-    for start in range(0, len(kvecs), chunk):
-        window = slice(start, start + chunk)
-        unit = khat[window]
-        # (n, m, 3) transverse parts P_k d_q
-        transverse = moments[:, None, :] - (moments @ unit.T)[:, :, None] * unit
-        phase = positions @ kvecs[window].T
-        for part in (np.cos(phase), np.sin(phase)):
-            block = ((root_w[window] * part)[:, :, None] * transverse).reshape(n, -1)
-            gram += block @ block.T
+    plain = np.zeros((n, n))
+    projected = np.zeros((n, n))
+    for start in range(0, len(khat), chunk):
+        stop = min(start + chunk, len(khat))
+        ix, iy, iz = np.unravel_index(np.arange(start, stop), labels)
+        waves = root_w[start:stop] * (
+            fx.take(ix, axis=1) * fy.take(iy, axis=1) * fz.take(iz, axis=1)
+        )
+        # viewed as real, each complex column is a (cos, sin) column pair
+        block = waves.view(float)
+        plain += block @ block.T
+        block = (waves * (moments @ khat[start:stop].T)).view(float)
+        projected += block @ block.T
+    gram = (moments @ moments.T) * plain - projected
     u = lattice.units
     return {
         (q, qp): float(-2.0 * gram[q, qp] / (u.epsilon0 * lattice.volume))

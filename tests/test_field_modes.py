@@ -24,7 +24,12 @@ from dipolegauge import (
     UnitSystem,
 )
 from dipolegauge.coulomb_path import dipole_kernel
-from dipolegauge.field_modes import _box_sum, _dipole_tensor, as_vec3
+from dipolegauge.field_modes import (
+    _axis_wavenumbers,
+    _box_sum,
+    _dipole_tensor,
+    as_vec3,
+)
 
 
 # --- lattice construction ---------------------------------------------------
@@ -91,6 +96,21 @@ def test_modes_pair_with_their_negations():
         assert np.array_equal(labels[half:], -labels[:half][::-1])
         assert np.array_equal(lat.kvecs[half:], -lat.kvecs[:half][::-1])
         assert np.array_equal(lat.knorm[half:], lat.knorm[:half][::-1])
+
+
+@pytest.mark.parametrize("extent", [1, 2, 5])
+@pytest.mark.parametrize("box", [1.0, 2.5])
+def test_half_modes_gather_from_per_axis_wavenumbers(box, extent):
+    # half-mode i has the cube labels unravel_index(i, (2N + 1,) * 3) - N, so
+    # its components are per-axis wavenumbers bit for bit; the pair Gram
+    # builds e^{i k . R} from per-axis phase factors on this
+    lat = build_mode_lattice(box, extent)
+    half = lat.num_modes // 2
+    axis = _axis_wavenumbers(box, extent)
+    assert np.array_equal(axis, (2.0 * np.pi / box) * np.arange(-extent, extent + 1))
+    labels = np.unravel_index(np.arange(half), (2 * extent + 1,) * 3)
+    gathered = np.stack([axis[index] for index in labels], axis=1)
+    assert np.array_equal(gathered, lat.kvecs[:half])
 
 
 # True is an int to isinstance, and would silently build the N = 1 lattice

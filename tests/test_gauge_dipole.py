@@ -356,19 +356,12 @@ def random_config(rng, count):
     )
 
 
-@pytest.mark.parametrize("lattice_name", ["lattice4", "lattice8"])
-@pytest.mark.parametrize("sigma", [0.02, 0.04, 0.3])
-@pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
-def test_pair_energies_batched_matches_per_pair_route(
-    request, lattice_name, sigma, count
-):
-    lattice = request.getfixturevalue(lattice_name)
-    rng = np.random.default_rng(1000 * count + int(100 * sigma) + lattice.half_extent)
-    cfg = random_config(rng, count)
+def _assert_matches_per_pair_route(cfg, lattice, sigma, keys=None):
     batched = pair_energies_from_commutator(cfg, lattice, sigma)
     assert list(batched) == list(pairwise_interaction(cfg).pair_energies)
+    keys = list(batched) if keys is None else keys
     per_pair = {
-        key: epsilon_dip_from_commutator(*key, cfg, lattice, sigma) for key in batched
+        key: epsilon_dip_from_commutator(*key, cfg, lattice, sigma) for key in keys
     }
     scale = max(abs(value) for value in per_pair.values())
     compared = [key for key, value in per_pair.items() if abs(value) > 1e-10 * scale]
@@ -378,6 +371,44 @@ def test_pair_energies_batched_matches_per_pair_route(
         [per_pair[key] for key in compared],
         rtol=1e-10,
     )
+
+
+@pytest.mark.parametrize("lattice_name", ["lattice4", "lattice8"])
+@pytest.mark.parametrize("sigma", [0.02, 0.04, 0.3])
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 6])
+def test_pair_energies_batched_matches_per_pair_route(
+    request, lattice_name, sigma, count
+):
+    lattice = request.getfixturevalue(lattice_name)
+    rng = np.random.default_rng(1000 * count + int(100 * sigma) + lattice.half_extent)
+    _assert_matches_per_pair_route(random_config(rng, count), lattice, sigma)
+
+
+@pytest.mark.parametrize("half_extent", [1, 3])
+@pytest.mark.parametrize("sigma", [0.1, 0.5])
+def test_pair_energies_batched_off_unit_box(half_extent, sigma):
+    # L = 2.5, and positions negative or beyond L: the per-axis phase factors
+    # must hold for any wavenumber spacing and any position, not only [0, L)
+    lattice = build_mode_lattice(2.5, half_extent)
+    rng = np.random.default_rng(60 + 10 * half_extent + int(10 * sigma))
+    positions = [[-0.7, 0.2, 3.1], [2.9, -1.4, 0.3], [-3.3, -2.6, 5.2]]
+    positions += [rng.uniform(-6.0, 8.5, 3) for _ in range(3)]
+    cfg = DipoleConfig(tuple(Dipole(r, rng.normal(size=3)) for r in positions))
+    _assert_matches_per_pair_route(cfg, lattice, sigma)
+
+
+def test_pair_energies_batched_at_workload_scale(lattice24):
+    # 27 dipoles at N = 24 run the Gram in many chunks of modes with an
+    # uneven tail; a jittered 3 x 3 x 3 cluster with sigma = min gap / 6
+    rng = np.random.default_rng(27)
+    grid = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    positions = 0.35 + 0.12 * grid + rng.uniform(-0.02, 0.02, (27, 3))
+    cfg = DipoleConfig(tuple(Dipole(r, rng.normal(size=3)) for r in positions))
+    gaps = np.linalg.norm(positions[:, None] - positions[None, :], axis=-1)
+    sigma = gaps[np.tril_indices(27, -1)].min() / 6.0
+    keys = list(pairwise_interaction(cfg).pair_energies)
+    sampled = [keys[i] for i in sorted(rng.choice(len(keys), 24, replace=False))]
+    _assert_matches_per_pair_route(cfg, lattice24, sigma, sampled)
 
 
 def test_pair_energies_batched_chunking_is_invisible(lattice8, rng, monkeypatch):
