@@ -279,9 +279,9 @@ def epsilon_dip_from_commutator(
 
 
 # bytes of the three complex (n, modes) temporaries a chunk holds at once (the
-# gathered phase factors, the weighted waves, their k-projected copy), about
-# 800 modes for 27 dipoles; chunks from 300 KB to 8 MB of the earlier
-# (n, modes, 3) blocks ran equally fast, and larger ones raise peak memory
+# gathered phase factors, the weighted waves, their k-projected copy): 809
+# modes for 27 dipoles; budgets of 0.5 to 2 MB ran within 10% of each other
+# at N = 24, 8 MB ran 2x slower, and larger chunks raise peak memory
 _GRAM_CHUNK_BYTES = 2**20
 
 
