@@ -10,28 +10,28 @@ for them.  Summing coefficient products over modes gives the equal-time
 commutator of the two fields, which converges (away from contact) to the
 closed-form dipole-kernel tensor provided by :func:`analytic_dipole_tensor`.
 
-Every regulated mode sum runs over the first M // 2 modes of ``_half_modes``,
-exact because the summand is even in k and mode M - 1 - i is -k_i.  The box
-sum S_N(rho) = (2 / (eps0 V)) sum_k w_k cos(k . rho) (1 - khat khat^T) is
-formed only by ``_box_sum``: the A-E kernel is -i hbar S_N(rho), the field
-shift sum_q S_N(R_q - R) d_q, the self energy -(1/2) d^T S_N(0) d.  The pair
-energies -d_q^T S_N(R_q - R_p) d_p of all pairs come instead from one Gram
-matrix (:func:`dipolegauge.gauge_dipole.pair_energies_from_commutator`), in
-the split form d_q . d_p - (khat . d_q)(khat . d_p) with e^{i k . R} gathered
-from per-axis phase factors over ``_axis_wavenumbers``; tests hold it to the
-per-pair ``_box_sum`` route.  The closed-form limit
-(delta - 3 rhohat rhohat^T) / |rho|^3 is formed only by ``_dipole_tensor``.
+Every regulated mode sum factors its Gaussian weight and its phase over the
+three axes and reads only the per-axis wavenumbers kappa_m = 2 pi m / L
+(``_axis_wavenumbers``), never the (M, 3) wavevectors.  ``_box_sum`` alone
+forms the box sum S_N(rho) = (1 / (eps0 V)) sum_{n != 0} w_k cos(k . rho)
+(1 - khat khat^T): the A-E kernel is -i hbar S_N(rho), the field shift
+sum_q S_N(R_q - R) d_q, the self energy -(1/2) d^T S_N(0) d.  The pair
+energies of all pairs come from one Gram matrix over the first M // 2 modes
+(:func:`dipolegauge.gauge_dipole.pair_energies_from_commutator`); tests hold
+it to the per-pair ``_box_sum`` route.  ``_dipole_tensor`` alone forms the
+closed-form limit (delta - 3 rhohat rhohat^T) / |rho|^3.
 
 All functions here are pure and treat their array inputs as immutable.  Mode
-sums are numpy reductions and small BLAS matrix products (the khat contraction
-of ``_box_sum``, the two Gram products per chunk of modes of the pair
-energies), so repeated calls produce bit-identical results for a fixed BLAS
-thread count.
+sums are numpy reductions and small BLAS matrix products (the kappa
+contractions of ``_box_sum``, the two Gram products per chunk of modes of the
+pair energies), so repeated calls produce bit-identical results for a fixed
+BLAS thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,18 +97,17 @@ class ModeLattice:
     """Nonzero wavevectors k = 2 pi n / L of a periodic cube of side L.
 
     The integer labels n = k L / (2 pi) range over max|n_i| <= half_extent
-    with n = 0 excluded (the zero mode has no transverse content); only k is
-    stored.  Modes are ordered lexicographically in (n_x, n_y, n_z) and the
-    arrays are read-only, so any sum over modes is reproducible bit for bit.
-    The number of modes M is even, and mode M - 1 - i is the negation of
-    mode i: ``kvecs[M // 2:]`` equals the negated, reversed first half exactly
-    and ``knorm[M // 2:]`` equals the reversed first half, which lets every
-    mode sum even in k run over the first M // 2 modes.  Half-mode i < M // 2
-    has the labels ``np.unravel_index(i, (2 N + 1,) * 3)`` minus N, with
-    N = half_extent, so component a of ``kvecs[i]`` is, bit for bit, entry
-    ``unravel_index(i)[a]`` of the per-axis wavenumbers 2 pi n / L
-    (``_axis_wavenumbers``); the pair Gram gathers e^{i k . R} from per-axis
-    phase factors by this rule.
+    with n = 0 excluded (the zero mode has no transverse content).  Only L,
+    N = half_extent and the units are stored; ``kvecs`` and ``knorm`` are
+    built, read-only, on first access.  Modes are ordered lexicographically in
+    (n_x, n_y, n_z), so any sum over modes is reproducible bit for bit.  The
+    number of modes M is even, and mode M - 1 - i is the negation of mode i:
+    ``kvecs[M // 2:]`` equals the negated, reversed first half exactly and
+    ``knorm[M // 2:]`` equals the reversed first half.  Mode i < M // 2 has
+    the labels ``np.unravel_index(i, (2 N + 1,) * 3)`` minus N, so component a
+    of ``kvecs[i]`` is, bit for bit, entry ``unravel_index(i)[a]`` of the
+    per-axis wavenumbers (``_axis_wavenumbers``); the pair Gram gathers its
+    half modes by this rule.
 
     Attributes
     ----------
@@ -118,9 +117,11 @@ class ModeLattice:
         Largest |n_i| kept in each direction.
     units : UnitSystem
         Constants used by every field amplitude built on this lattice.
-    kvecs : (M, 3) float array
+    num_modes : int, property
+        M = (2 N + 1)^3 - 1, without building any array.
+    kvecs : (M, 3) float array, cached property
         Wavevectors 2 pi n / L.
-    knorm : (M,) float array
+    knorm : (M,) float array, cached property
         |k| per mode.
     omega : (M,) float array, property
         Dispersion c |k| per mode, computed on each access.
@@ -129,16 +130,27 @@ class ModeLattice:
     box_length: float
     half_extent: int
     units: UnitSystem
-    kvecs: np.ndarray
-    knorm: np.ndarray
 
     @property
     def num_modes(self) -> int:
-        return self.kvecs.shape[0]
+        return (2 * self.half_extent + 1) ** 3 - 1
 
     @property
     def volume(self) -> float:
         return self.box_length**3
+
+    @cached_property
+    def kvecs(self) -> np.ndarray:
+        axis = _axis_wavenumbers(self.box_length, self.half_extent)
+        # an 'ij' meshgrid flattened in C order is lexicographic in (n_x, n_y, n_z);
+        # the zero mode is the middle row
+        grid = np.meshgrid(axis, axis, axis, indexing="ij", copy=False)
+        kvecs = np.stack(grid, axis=-1).reshape(-1, 3)
+        return _read_only(np.delete(kvecs, len(kvecs) // 2, axis=0))
+
+    @cached_property
+    def knorm(self) -> np.ndarray:
+        return _read_only(np.linalg.norm(self.kvecs, axis=1))
 
     @property
     def omega(self) -> np.ndarray:
@@ -154,7 +166,7 @@ class ModeLattice:
 def build_mode_lattice(
     box_length: float, half_extent: int, units: UnitSystem = NATURAL
 ) -> ModeLattice:
-    """Enumerate the (2 half_extent + 1)^3 - 1 nonzero modes of the box.
+    """The (2 half_extent + 1)^3 - 1 nonzero modes of the box.
 
     Parameters
     ----------
@@ -175,20 +187,7 @@ def build_mode_lattice(
         raise ValueError(f"half_extent must be an integer >= 1, got {half_extent}")
     if not isinstance(units, UnitSystem):
         raise ValueError("units must be a UnitSystem instance")
-
-    axis = _axis_wavenumbers(float(box_length), int(half_extent))
-    # an 'ij' meshgrid flattened in C order is lexicographic in (n_x, n_y, n_z);
-    # the zero mode is the middle row
-    grid = np.meshgrid(axis, axis, axis, indexing="ij", copy=False)
-    kvecs = np.stack(grid, axis=-1).reshape(-1, 3)
-    kvecs = np.delete(kvecs, len(kvecs) // 2, axis=0)
-    return ModeLattice(
-        box_length=float(box_length),
-        half_extent=int(half_extent),
-        units=units,
-        kvecs=_read_only(kvecs),
-        knorm=_read_only(np.linalg.norm(kvecs, axis=1)),
-    )
+    return ModeLattice(float(box_length), int(half_extent), units)
 
 
 def _axis_wavenumbers(box_length: float, half_extent: int) -> np.ndarray:
@@ -204,7 +203,8 @@ def transverse_projectors(lattice: ModeLattice) -> np.ndarray:
     """Projectors 1 - khat khat^T for every mode, shape (M, 3, 3).
 
     Only the coefficient builders (``_field_coeffs``) and the tests'
-    full-lattice oracles use the stack; the mode sums contract khat directly.
+    full-lattice oracles use the stack; the mode sums contract khat directly,
+    gathered from the per-axis wavenumbers.
     """
     khat = lattice.kvecs / lattice.knorm[:, None]
     return np.eye(3)[None, :, :] - khat[:, :, None] * khat[:, None, :]
@@ -219,41 +219,81 @@ def regulator_weights(lattice: ModeLattice, sigma: float) -> np.ndarray:
     """
     if sigma < 0.0 or not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    return _gaussian_weights(lattice.knorm, sigma)
+    return np.exp(-((lattice.knorm * sigma) ** 2))
 
 
-def _gaussian_weights(knorm: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(-((knorm * sigma) ** 2))
+# bytes of the buffers one chunk of a mode sum reuses: the box sum's slab of
+# n_x planes (3 planes at N = 48), or the pair Gram's waves and gathered factor
+# (1213 modes for 27 dipoles).  Budgets of 0.5 to 1 MB ran fastest for both at
+# N = 24 and 48; 0.25, 2 and 4 MB ran 10-30% slower, and larger chunks raise
+# peak memory
+_CHUNK_BYTES = 2**20
 
 
-def _half_modes(lattice: ModeLattice, sigma: float):
-    """Wavevectors, unit vectors and regulator weights of the first M // 2 modes.
+def _chunk_len(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` bytes one chunk holds; at least 1."""
+    return max(1, _CHUNK_BYTES // row_bytes)
 
-    Mode M - 1 - i is the negation of mode i (see :class:`ModeLattice`), so a
-    mode sum whose summand is even in k equals twice its sum over these rows.
+
+def _regulated_axis(lattice: ModeLattice, sigma: float) -> np.ndarray:
+    """Per-axis wavenumbers of a regulated mode sum, after its sigma rule.
+
     This is the one rule of every regulated mode sum: sigma finite and > 0.
     """
     if not (sigma > 0.0) or not np.isfinite(sigma):
         raise ValueError(f"regulated mode sums need a finite sigma > 0, got {sigma}")
-    half = lattice.num_modes // 2
-    kvecs = lattice.kvecs[:half]
-    knorm = lattice.knorm[:half]
-    return kvecs, kvecs / knorm[:, None], _gaussian_weights(knorm, sigma)
+    return _axis_wavenumbers(lattice.box_length, lattice.half_extent)
 
 
 def _box_sum(lattice: ModeLattice, offsets: np.ndarray, sigma: float) -> np.ndarray:
     """S_N(rho) for each row rho of the (n, 3) offsets, shape (n, 3, 3).
 
-    Rows are summed one at a time, so a stack gives the bits of its row
-    calls, and sum_k c_k khat khat^T is one (3, M // 2) x (M // 2, 3) product
-    without an (M, 3, 3) projector stack.
+    Over the whole cube of labels, c_n = w_n cos(k . rho) is Re(f_x f_y f_z)
+    with per-axis factors f_a[m] = e^{-(sigma kappa_m)^2} e^{i kappa_m rho_a},
+    and the zero mode has c = 1.  So sum_n c_n = Re(prod_a sum_m f_a[m]) - 1
+    needs no grid, and sum_n c_n khat khat^T contracts h = c / k^2 (0 at the
+    zero mode) with kappa_a kappa_b through partial sums of h over the other
+    axes, built in slabs of n_x planes of at most ``_CHUNK_BYTES``.  Rows are
+    summed one at a time, so a stack gives the bits of its row calls.
     """
-    kvecs, khat, weights = _half_modes(lattice, sigma)
+    axis = _regulated_axis(lattice, sigma)
+    n = lattice.half_extent
+    side = len(axis)
+    square = axis * axis
+    gauss = np.exp(-((axis * sigma) ** 2))
+    plane = square[:, None] + square
+    # every slab of every row reuses three buffers of whole n_x planes (k^2,
+    # the complex products c and h), so no slab allocates
+    slab = min(side, _chunk_len(32 * side * side))
+    k2_buffer, h_buffer = np.empty((2, slab, side, side))
+    c_buffer = np.empty((slab, side, side), complex)
     tensors = np.empty((len(offsets), 3, 3))
     for row, rho in zip(tensors, offsets):
-        c = weights * np.cos(kvecs @ rho)
-        row[...] = np.sum(c) * np.eye(3) - khat.T @ (c[:, None] * khat)
-    return 2.0 / (lattice.units.epsilon0 * lattice.volume) * tensors
+        fx, fy, fz = gauss * np.exp(1j * (rho[:, None] * axis))
+        fyz = fy[:, None] * fz
+        h_xy, h_xz, h_yz = np.empty((side, side)), np.empty((side, side)), 0.0
+        for start in range(0, side, slab):
+            stop = min(start + slab, side)
+            planes = slice(0, stop - start)
+            k2 = np.add(square[start:stop, None, None], plane, out=k2_buffer[planes])
+            if start <= n < stop:
+                k2[n - start, n, n] = np.inf
+            c = np.multiply(fx[start:stop, None, None], fyz, out=c_buffer[planes])
+            h = np.divide(c.real, k2, out=h_buffer[planes])
+            h_xy[start:stop] = h.sum(axis=2)
+            h_xz[start:stop] = h.sum(axis=1)
+            h_yz = h_yz + h.sum(axis=0)
+        xy, xz, yz = (axis @ part @ axis for part in (h_xy, h_xz, h_yz))
+        khat_part = np.array(
+            [
+                [square @ h_xy.sum(axis=1), xy, xz],
+                [xy, h_xy.sum(axis=0) @ square, yz],
+                [xz, yz, h_xz.sum(axis=0) @ square],
+            ]
+        )
+        trace = (fx.sum() * fy.sum() * fz.sum()).real - 1.0
+        row[...] = trace * np.eye(3) - khat_part
+    return tensors / (lattice.units.epsilon0 * lattice.volume)
 
 
 def _field_amplitudes(lattice: ModeLattice) -> np.ndarray:

@@ -28,11 +28,11 @@ import numpy as np
 from .errors import DegenerateSeparationError
 from .field_modes import (
     ModeLattice,
-    _axis_wavenumbers,
     _box_sum,
+    _chunk_len,
     _dipole_tensor,
-    _half_modes,
     _read_only,
+    _regulated_axis,
     as_vec3,
     commutator_ae_modesum,
     electric_field_coeffs,
@@ -278,13 +278,6 @@ def epsilon_dip_from_commutator(
     return float(value.real)
 
 
-# bytes of the three complex (n, modes) temporaries a chunk holds at once (the
-# gathered phase factors, the weighted waves, their k-projected copy): 809
-# modes for 27 dipoles; budgets of 0.5 to 2 MB ran within 10% of each other
-# at N = 24, 8 MB ran 2x slower, and larger chunks raise peak memory
-_GRAM_CHUNK_BYTES = 2**20
-
-
 def pair_energies_from_commutator(
     config: DipoleConfig, lattice: ModeLattice, sigma: float
 ) -> dict[tuple[int, int], float]:
@@ -300,40 +293,49 @@ def pair_energies_from_commutator(
     with D = d d^T, o the elementwise product, W = diag(w_k),
     E[q, k] = e^{i k . R_q} and A[q, k] = (khat . d_q) E[q, k].  Each
     product is accumulated over chunks of modes as the real (n, 2 modes)
-    block of the cosine and sine parts of sqrt(w) E or sqrt(w) A.  E is
-    gathered from per-axis factors e^{i k_x X_q} e^{i k_y Y_q} e^{i k_z Z_q},
-    3 (2 N + 1) complex exponentials per dipole, by the ordering invariant of
-    :class:`ModeLattice`; hbar never enters.
+    block of the cosine and sine parts of sqrt(w) E or sqrt(w) A.  Both
+    factor over the axes: sqrt(w) E is gathered from per-axis factors
+    e^{-(sigma k_a)^2 / 2} e^{i k_a R_qa}, 3 (2 N + 1) complex exponentials
+    per dipole, and khat = k / |k| from the per-axis wavenumbers, by the
+    ordering invariant of :class:`ModeLattice`; hbar never enters.
 
     Returns a dict keyed (q, qp) with q > qp, in the order of
     :attr:`TransformReport.pair_energies`; empty for fewer than two dipoles.
     Values match the per-pair route to summation-order rounding.
     """
     _require_matching_units(config, lattice)
-    _, khat, weights = _half_modes(lattice, sigma)
+    axis = _regulated_axis(lattice, sigma)
     n = len(config)
     if n < 2:
         return {}
     moments = np.array([dip.moment for dip in config.dipoles])
     positions = np.array([dip.position for dip in config.dipoles])
-    axis = _axis_wavenumbers(lattice.box_length, lattice.half_extent)
-    # (n, 2N + 1) per-axis factors e^{i k_a R_qa}, a = x, y, z
-    fx, fy, fz = np.exp(1j * (positions.T[:, :, None] * axis))
+    # (n, 2N + 1) per-axis factors e^{-(sigma k_a)^2 / 2} e^{i k_a R_qa}
+    fx, fy, fz = np.exp(-0.5 * (axis * sigma) ** 2) * np.exp(
+        1j * (positions.T[:, :, None] * axis)
+    )
     labels = (len(axis),) * 3
-    root_w = np.sqrt(weights)
-    chunk = max(1, _GRAM_CHUNK_BYTES // (3 * n * 16))
+    half = lattice.num_modes // 2
+    # two complex (n, modes) buffers serve every chunk, the waves and one
+    # gathered per-axis factor, so no chunk allocates them; mode "clip" lets
+    # np.take write straight into them (every label is in range)
+    chunk = _chunk_len(2 * n * 16)
+    buffers = np.empty((2, n, chunk), complex)
     plain = np.zeros((n, n))
     projected = np.zeros((n, n))
-    for start in range(0, len(khat), chunk):
-        stop = min(start + chunk, len(khat))
+    for start in range(0, half, chunk):
+        stop = min(start + chunk, half)
         ix, iy, iz = np.unravel_index(np.arange(start, stop), labels)
-        waves = root_w[start:stop] * (
-            fx.take(ix, axis=1) * fy.take(iy, axis=1) * fz.take(iz, axis=1)
-        )
+        kvecs = np.stack([axis[ix], axis[iy], axis[iz]])
+        khat = kvecs / np.sqrt(np.sum(kvecs * kvecs, axis=0))
+        waves, factor = buffers[:, :, : stop - start]
+        np.take(fx, ix, axis=1, out=waves, mode="clip")
+        waves *= np.take(fy, iy, axis=1, out=factor, mode="clip")
+        waves *= np.take(fz, iz, axis=1, out=factor, mode="clip")
         # viewed as real, each complex column is a (cos, sin) column pair
         block = waves.view(float)
         plain += block @ block.T
-        block = (waves * (moments @ khat[start:stop].T)).view(float)
+        waves *= moments @ khat  # block now views sqrt(w) A
         projected += block @ block.T
     gram = (moments @ moments.T) * plain - projected
     u = lattice.units

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dipolegauge import build_mode_lattice
+from dipolegauge import build_mode_lattice, transverse_projectors
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +32,11 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def full_lattice_sums(lattice, offsets, sigma):
+    # sum_k w_k cos(k . rho) P_k over all M modes for each separation rho,
+    # from the explicit (M, 3, 3) projector stack, as (len(offsets), 3, 3)
+    weights = np.exp(-((lattice.knorm * sigma) ** 2))
+    cosines = np.cos(np.asarray(offsets) @ lattice.kvecs.T)
+    return np.einsum("k,nk,kjl->njl", weights, cosines, transverse_projectors(lattice))

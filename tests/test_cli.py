@@ -555,6 +555,47 @@ def test_dipole_energy_uses_batched_pair_route(tmp_path, capsys, monkeypatch):
         assert abs(row["computed"] - want.computed) <= 1e-10 * tol * abs(want.reference)
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("verify-commutator", vc_config(half_extents=[4, 8])),
+        (
+            "dipole-energy",
+            {
+                "schema_version": 1,
+                "dipoles": two_dipoles([0.0, 0.0, 0.2]),
+                "lattice": {"half_extent": 8},
+                "sigma": 0.04,
+            },
+        ),
+        (
+            "field-shift",
+            {
+                "schema_version": 1,
+                "dipoles": two_dipoles([0.15, 0.0, 0.0]),
+                "field_points": [[0.0, 0.0, 0.2]],
+                "lattice": {"half_extent": 8},
+                "sigma": 0.04,
+            },
+        ),
+    ],
+)
+def test_lattice_subcommands_never_build_mode_arrays(
+    tmp_path, capsys, monkeypatch, command, cfg
+):
+    # every mode sum of these subcommands reads the per-axis wavenumbers
+    from dipolegauge import ModeLattice
+
+    def forbidden(self):
+        raise AssertionError("mode array built")
+
+    for name in ("kvecs", "knorm"):
+        monkeypatch.setattr(ModeLattice, name, property(forbidden))
+    assert run(tmp_path, command, cfg) in (0, 1)
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert records and all(record["comparisons"] for record in records)
+
+
 def test_field_shift_closed_form_only(tmp_path, capsys):
     cfg = {
         "schema_version": 1,

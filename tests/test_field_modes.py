@@ -8,6 +8,8 @@ from scipy.integrate import dblquad
 
 from dipolegauge import (
     DegenerateSeparationError,
+    Dipole,
+    DipoleConfig,
     analytic_dipole_tensor,
     build_mode_lattice,
     commutator_ae_modesum,
@@ -16,13 +18,17 @@ from dipolegauge import (
     e_dip_field,
     electric_field_coeffs,
     epsilon_dip,
+    field_shift_from_commutator,
     line_integral_endpoint,
+    pair_energies_from_commutator,
     regulator_weights,
     straight_path,
+    transform_report,
     transverse_projectors,
     vector_potential_coeffs,
     UnitSystem,
 )
+from conftest import full_lattice_sums
 from dipolegauge.coulomb_path import dipole_kernel
 from dipolegauge.field_modes import (
     _axis_wavenumbers,
@@ -83,6 +89,32 @@ def test_arrays_read_only():
     lat = build_mode_lattice(1.0, 1)
     with pytest.raises(ValueError):
         lat.kvecs[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        lat.knorm[0] = 5.0
+
+
+def test_mode_sums_never_build_the_mode_arrays():
+    # every regulated mode sum reads the per-axis wavenumbers; kvecs and knorm
+    # are built on first access only, then cached and read-only
+    lat = build_mode_lattice(1.0, 48)
+    cfg = DipoleConfig(
+        dipoles=(
+            Dipole([0.1, 0.2, 0.3], [1.0, 0.0, 0.5]),
+            Dipole([0.3, -0.1, 0.2], [0.0, 1.0, 0.2]),
+            Dipole([-0.2, 0.1, 0.0], [0.4, 0.3, 1.0]),
+        )
+    )
+    commutator_ae_modesum(lat, [0.0, 0.0, 0.15], np.zeros(3), 0.025)
+    field_shift_from_commutator(cfg, lat, [0.0, 0.0, 0.0], 0.02)
+    transform_report(cfg, lat, 0.02)
+    pair_energies_from_commutator(cfg, lat, 0.02)
+    assert lat.num_modes == 97**3 - 1
+    assert repr(lat) == "ModeLattice(box_length=1.0, half_extent=48, num_modes=912672)"
+    assert "kvecs" not in vars(lat) and "knorm" not in vars(lat)
+    kvecs, knorm = lat.kvecs, lat.knorm
+    assert lat.kvecs is kvecs and lat.knorm is knorm
+    assert not kvecs.flags.writeable and not knorm.flags.writeable
+    assert kvecs.shape == (lat.num_modes, 3) and knorm.shape == (lat.num_modes,)
 
 
 def test_modes_pair_with_their_negations():
@@ -355,6 +387,41 @@ def test_modesum_converges_toward_closed_form():
 
 
 # --- the one box sum and the one closed form --------------------------------
+
+
+@pytest.mark.parametrize("extent", [1, 2, 8])
+@pytest.mark.parametrize("box", [1.0, 2.5])
+def test_box_sum_matches_full_lattice_sum(box, extent):
+    # the per-axis factors reproduce the explicit sum over every mode, also at
+    # zero offset and for offsets outside the box
+    offsets = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [0.11, -0.07, 0.13],
+            [0.3 * box, 0.0, 0.0],
+            [1.7 * box, -2.3 * box, 0.4 * box],
+            [-3.1 * box, 5.6 * box, -0.9 * box],
+        ]
+    )
+    for sigma in (0.04 * box, 0.3 * box):
+        want = full_lattice_sums(build_mode_lattice(box, extent), offsets, sigma)
+        got = box**3 * _box_sum(build_mode_lattice(box, extent), offsets, sigma)
+        for row, ref in zip(got, want):
+            assert_allclose(row, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_box_sum_slabs_are_invisible(monkeypatch):
+    # one n_x plane per slab runs through the slab of the zero mode and every
+    # slab edge; the default budget holds the N = 8 cube in one slab
+    import dipolegauge.field_modes as field_modes
+
+    lat = build_mode_lattice(2.5, 8)
+    offsets = np.array([[0.0, 0.0, 0.0], [0.21, -0.4, 0.05], [3.3, 1.2, -4.1]])
+    whole = _box_sum(lat, offsets, 0.1)
+    monkeypatch.setattr(field_modes, "_CHUNK_BYTES", 1)
+    assert field_modes._chunk_len(32 * 17 * 17) == 1
+    sliced = _box_sum(lat, offsets, 0.1)
+    assert_allclose(sliced, whole, rtol=0, atol=1e-14 * np.max(np.abs(whole)))
 
 
 def test_box_sum_stack_equals_row_calls(lattice8, rng):

@@ -28,10 +28,9 @@ from dipolegauge import (
     pair_energies_from_commutator,
     pairwise_interaction,
     transform_report,
-    transverse_projectors,
     vector_potential_coeffs,
 )
-from conftest import random_rotation
+from conftest import full_lattice_sums, random_rotation
 
 
 def two_dipole_config(d1, d2, separation=(0.0, 0.0, 0.1)):
@@ -412,13 +411,13 @@ def test_pair_energies_batched_at_workload_scale(lattice24):
 
 
 def test_pair_energies_batched_chunking_is_invisible(lattice8, rng, monkeypatch):
-    import dipolegauge.gauge_dipole as gauge_dipole
+    import dipolegauge.field_modes as field_modes
 
     cfg = random_config(rng, 4)
     whole = pair_energies_from_commutator(cfg, lattice8, 0.04)
     # 1 byte leaves one mode per chunk; 5000 bytes about 26 modes, uneven tail
     for budget in (1, 5000):
-        monkeypatch.setattr(gauge_dipole, "_GRAM_CHUNK_BYTES", budget)
+        monkeypatch.setattr(field_modes, "_CHUNK_BYTES", budget)
         chunked = pair_energies_from_commutator(cfg, lattice8, 0.04)
         assert list(chunked) == list(whole)
         assert_allclose(list(chunked.values()), list(whole.values()), rtol=1e-12)
@@ -443,14 +442,6 @@ def test_pair_energies_batched_edge_cases(lattice4, lattice8, rng):
     assert pair_energies_from_commutator(cfg, lattice4, 0.04) == (
         pair_energies_from_commutator(cfg, lattice4, 0.04)
     )
-
-
-def _full_lattice_sums(lattice, offsets, sigma):
-    # sum_k w_k cos(k . rho) P_k over all M modes for each separation rho,
-    # from the explicit (M, 3, 3) projector stack, as (len(offsets), 3, 3)
-    weights = np.exp(-((lattice.knorm * sigma) ** 2))
-    cosines = np.cos(np.asarray(offsets) @ lattice.kvecs.T)
-    return np.einsum("k,nk,kjl->njl", weights, cosines, transverse_projectors(lattice))
 
 
 @pytest.mark.parametrize(
@@ -492,13 +483,13 @@ def test_half_lattice_routes_match_full_lattice_oracle(
         atol = 1e-12 * np.max(np.abs(want))
         assert_allclose(got, want, rtol=1e-12, atol=atol)
 
-    kernel = _full_lattice_sums(lattice, [positions[1] - positions[0]], sigma)[0]
+    kernel = full_lattice_sums(lattice, [positions[1] - positions[0]], sigma)[0]
     check(
         commutator_ae_modesum(lattice, positions[1], positions[0], sigma),
         -1j * units.hbar * inv_eps_v * kernel,
     )
 
-    pair_sums = _full_lattice_sums(
+    pair_sums = full_lattice_sums(
         lattice, (positions[:, None] - positions[None, :]).reshape(-1, 3), sigma
     ).reshape(4, 4, 3, 3)
     oracle = {
@@ -518,7 +509,7 @@ def test_half_lattice_routes_match_full_lattice_oracle(
     )
     check(transform_report(cfg, lattice, sigma).self_energy, sum(self_terms))
 
-    shift_sums = _full_lattice_sums(lattice, positions - point, sigma)
+    shift_sums = full_lattice_sums(lattice, positions - point, sigma)
     check(
         field_shift_from_commutator(cfg, lattice, point, sigma),
         inv_eps_v * np.einsum("njl,nl->j", shift_sums, moments),
