@@ -249,12 +249,14 @@ def _box_sum(lattice: ModeLattice, offsets: np.ndarray, sigma: float) -> np.ndar
     """S_N(rho) for each row rho of the (n, 3) offsets, shape (n, 3, 3).
 
     Over the whole cube of labels, c_n = w_n cos(k . rho) is Re(f_x f_y f_z)
-    with per-axis factors f_a[m] = e^{-(sigma kappa_m)^2} e^{i kappa_m rho_a},
-    and the zero mode has c = 1.  So sum_n c_n = Re(prod_a sum_m f_a[m]) - 1
-    needs no grid, and sum_n c_n khat khat^T contracts h = c / k^2 (0 at the
-    zero mode) with kappa_a kappa_b through partial sums of h over the other
-    axes, built in slabs of n_x planes of at most ``_CHUNK_BYTES``.  Rows are
-    summed one at a time, so a stack gives the bits of its row calls.
+    with per-axis factors f_a[m] = e^{-(sigma kappa_m)^2} e^{i kappa_m rho_a}.
+    With h = c / k^2 (0 at the zero mode), c (1 - khat khat^T) is
+    h (k^2 1 - k k^T): entry (a, b) sums h times -kappa_a kappa_b, and the
+    diagonal entry (a, a) sums h times the other two kappa^2, which keeps the
+    diagonal free of the cancellation of sum c against sum c khat_a^2.  Each
+    sum comes from partial sums of h over the other axes, built in slabs of
+    n_x planes of at most ``_CHUNK_BYTES``.  Rows are summed one at a time, so
+    a stack gives the bits of its row calls.
     """
     axis = _regulated_axis(lattice, sigma)
     n = lattice.half_extent
@@ -284,15 +286,10 @@ def _box_sum(lattice: ModeLattice, offsets: np.ndarray, sigma: float) -> np.ndar
             h_xz[start:stop] = h.sum(axis=1)
             h_yz = h_yz + h.sum(axis=0)
         xy, xz, yz = (axis @ part @ axis for part in (h_xy, h_xz, h_yz))
-        khat_part = np.array(
-            [
-                [square @ h_xy.sum(axis=1), xy, xz],
-                [xy, h_xy.sum(axis=0) @ square, yz],
-                [xz, yz, h_xz.sum(axis=0) @ square],
-            ]
-        )
-        trace = (fx.sum() * fy.sum() * fz.sum()).real - 1.0
-        row[...] = trace * np.eye(3) - khat_part
+        x2 = square @ h_xy.sum(axis=1)
+        y2 = h_xy.sum(axis=0) @ square
+        z2 = h_xz.sum(axis=0) @ square
+        row[...] = [[y2 + z2, -xy, -xz], [-xy, x2 + z2, -yz], [-xz, -yz, x2 + y2]]
     return tensors / (lattice.units.epsilon0 * lattice.volume)
 
 
