@@ -44,6 +44,7 @@ from .coulomb_path import (
 )
 from .errors import ConfigError
 from .field_modes import (
+    _norm2,
     analytic_dipole_tensor,
     build_mode_lattice,
     commutator_ae_modesum,
@@ -282,7 +283,10 @@ def _parse_block(raw, table: dict, where: str, prefix: str | None = None) -> dic
 def _number(value, where, parsed=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{where} is an integer too large for a float") from exc
     if not np.isfinite(out):
         raise ConfigError(f"{where} must be finite, got {out}")
     return out
@@ -418,13 +422,14 @@ _KEYS = {
 }
 
 
-def _default_sigma(sigma: float | None, gaps: list[float], box_length: float) -> float:
-    """The configured sigma, else the smallest gap times sigma_fraction, else
-    (no gap, as for a lone dipole) box_length / sigma_box_divisor."""
+def _default_sigma(sigma: float | None, gaps, box_length: float) -> float:
+    """The configured sigma, else the smallest of the array ``gaps`` times
+    sigma_fraction, else (no gap, as for a lone dipole) box_length /
+    sigma_box_divisor."""
     if sigma is not None:
         return sigma
-    if gaps:
-        return min(gaps) * DEFAULTS["sigma_fraction"]
+    if np.size(gaps):
+        return float(np.min(gaps)) * DEFAULTS["sigma_fraction"]
     return box_length / DEFAULTS["sigma_box_divisor"]
 
 
@@ -444,10 +449,11 @@ def _check_verify_commutator(cfg: dict) -> None:
 
 
 def _check_field_shift(cfg: dict) -> None:
+    positions = cfg["dipoles"].positions
     for i, point in enumerate(cfg["field_points"]):
-        for q, dip in enumerate(cfg["dipoles"].dipoles):
-            if float(np.linalg.norm(point - dip.position)) == 0.0:
-                raise ConfigError(f"field_points[{i}] coincides with dipole {q}")
+        hits = np.flatnonzero(_norm2(point - positions) == 0.0)
+        if hits.size:
+            raise ConfigError(f"field_points[{i}] coincides with dipole {hits[0]}")
 
 
 def _check_coulomb_path(cfg: dict) -> None:
@@ -549,20 +555,14 @@ def _row(name, computed, reference, tol, scale=1.0, *, relative=True) -> Compari
 def _run_verify_commutator(cfg: dict):
     gate_extent = max(cfg["half_extents"])
     tol = cfg["tolerances"]["commutator_rel"]
-    lattices = {}
     for sep in cfg["separations"]:
         rho = float(np.linalg.norm(sep))
         sigma = _default_sigma(cfg["sigma"], [rho], cfg["box_length"])
         reference = analytic_dipole_tensor(sep, cfg["units"]).imag
         dominant = float(np.max(np.abs(reference)))
         for extent in cfg["half_extents"]:
-            if extent not in lattices:
-                lattices[extent] = build_mode_lattice(
-                    cfg["box_length"], extent, cfg["units"]
-                )
-            computed = commutator_ae_modesum(
-                lattices[extent], sep, np.zeros(3), sigma
-            ).imag
+            lattice = build_mode_lattice(cfg["box_length"], extent, cfg["units"])
+            computed = commutator_ae_modesum(lattice, sep, np.zeros(3), sigma).imag
             # analytically-zero entries are bounded against the dominant entry
             comparisons = [
                 _row(f"entry[{i},{j}]", computed[i, j], reference[i, j], tol, dominant)
@@ -592,28 +592,22 @@ def _run_dipole_energy(cfg: dict):
     comparisons = []
     if cfg["lattice"] is not None:
         lattice = build_mode_lattice(**cfg["lattice"], units=cfg["units"])
-        gaps = [
-            float(np.linalg.norm(a.position - b.position))
-            for i, a in enumerate(config.dipoles)
-            for b in config.dipoles[:i]
-        ]
-        sigma = _default_sigma(cfg["sigma"], gaps, lattice.box_length)
+        sigma = _default_sigma(cfg["sigma"], config.separations, lattice.box_length)
         report = transform_report(config, lattice, sigma)
         tol = cfg["tolerances"]["pair_energy_rel"]
         routes = pair_energies_from_commutator(config, lattice, sigma)
-        sizes = [float(np.linalg.norm(dip.moment)) for dip in config.dipoles]
+        sizes = _norm2(config.moments).tolist()
         unit = 4.0 * np.pi * config.units.epsilon0
-        # gaps run over the pairs in the report's (q, qp) order; a pair's
-        # scale is |d_q| |d_qp| / (4 pi eps0 |R|^3)
+        # a pair's scale is |d_q| |d_qp| / (4 pi eps0 |R|^3)
         comparisons = [
             _row(
                 f"pair_route[{q},{qp}]",
                 routes[(q, qp)],
-                closed,
+                report.pair_energies[(q, qp)],
                 tol,
                 sizes[q] * sizes[qp] / (unit * gap**3),
             )
-            for ((q, qp), closed), gap in zip(report.pair_energies.items(), gaps)
+            for (q, qp), gap in zip(config.pairs.tolist(), config.separations.tolist())
         ]
     else:
         report = pairwise_interaction(config)
@@ -632,11 +626,7 @@ def _run_field_shift(cfg: dict):
     sigma = cfg["sigma"]
     if cfg["lattice"] is not None:
         lattice = build_mode_lattice(**cfg["lattice"], units=cfg["units"])
-        gaps = [
-            float(np.linalg.norm(point - dip.position))
-            for point in cfg["field_points"]
-            for dip in config.dipoles
-        ]
+        gaps = _norm2(np.array(cfg["field_points"])[:, None] - config.positions)
         sigma = _default_sigma(sigma, gaps, lattice.box_length)
     for point in cfg["field_points"]:
         closed = field_shift(config, point)

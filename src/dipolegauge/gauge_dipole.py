@@ -21,7 +21,7 @@ preserves every implemented identity while keeping the algebra finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .field_modes import (
     _box_sum,
     _chunk_len,
     _dipole_tensor,
+    _norm2,
     _read_only,
     _regulated_axis,
     as_vec3,
@@ -81,12 +82,19 @@ def _frozen_vec(value, name: str) -> np.ndarray:
 class DipoleConfig:
     """Ordered collection of dipoles plus the unit system they live in.
 
-    All pairwise separations must be strictly positive; coincident dipoles
-    raise DegenerateSeparationError naming the offending pair.
+    Every route reads the geometry derived here once, as read-only arrays:
+    ``positions`` and ``moments`` (n, 3); ``pairs``, the rows (q, qp) with
+    q > qp in row-major order (1, 0), (2, 0), (2, 1), ...; and ``separations``
+    |R_q - R_qp| per pair, all strictly positive.  Coincident dipoles raise
+    DegenerateSeparationError naming the first such pair.
     """
 
     dipoles: tuple[Dipole, ...]
     units: UnitSystem = NATURAL
+    positions: np.ndarray = field(init=False, repr=False)
+    moments: np.ndarray = field(init=False, repr=False)
+    pairs: np.ndarray = field(init=False, repr=False)
+    separations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dipoles = tuple(self.dipoles)
@@ -95,14 +103,21 @@ class DipoleConfig:
                 raise ValueError(f"expected a Dipole, got {type(entry).__name__}")
         if not isinstance(self.units, UnitSystem):
             raise ValueError("units must be a UnitSystem instance")
-        for i in range(len(dipoles)):
-            for j in range(i):
-                gap = np.linalg.norm(dipoles[i].position - dipoles[j].position)
-                if gap == 0.0:
-                    raise DegenerateSeparationError(
-                        f"dipoles {j} and {i} coincide at {dipoles[i].position}"
-                    )
+        positions = np.array([dip.position for dip in dipoles]).reshape(-1, 3)
+        pairs = np.stack(np.tril_indices(len(dipoles), -1), axis=1)
+        separations = _norm2(positions[pairs[:, 0]] - positions[pairs[:, 1]])
+        coincident = np.flatnonzero(separations == 0.0)
+        if coincident.size:
+            q, qp = pairs[coincident[0]]
+            raise DegenerateSeparationError(
+                f"dipoles {qp} and {q} coincide at {positions[q]}"
+            )
+        moments = np.array([dip.moment for dip in dipoles]).reshape(-1, 3)
         object.__setattr__(self, "dipoles", dipoles)
+        object.__setattr__(self, "positions", _read_only(positions))
+        object.__setattr__(self, "moments", _read_only(moments))
+        object.__setattr__(self, "pairs", _read_only(pairs))
+        object.__setattr__(self, "separations", _read_only(separations))
 
     def __len__(self) -> int:
         return len(self.dipoles)
@@ -158,9 +173,9 @@ def _dipole_form(config: DipoleConfig, lattice: ModeLattice, field_coeffs, phase
         raise ValueError("cannot build a generator from an empty dipole config")
     _require_matching_units(config, lattice)
     ann = 0.0
-    for dip in config.dipoles:
-        coeffs = field_coeffs(lattice, dip.position)
-        ann = ann + np.einsum("j,kjm->km", dip.moment, coeffs)
+    for position, moment in zip(config.positions, config.moments):
+        coeffs = field_coeffs(lattice, position)
+        ann = ann + np.einsum("j,kjm->km", moment, coeffs)
     # the moments are real, so the contracted creation block is conj(ann)
     scale = phase / config.units.hbar
     return scale * ann, scale * np.conj(ann)
@@ -235,16 +250,15 @@ def pairwise_interaction(config: DipoleConfig) -> TransformReport:
     The self-energy slots are left empty; :func:`transform_report` fills them.
     All pairs contract one stacked closed form, as :func:`epsilon_dip` does.
     """
-    moments = np.array([dip.moment for dip in config.dipoles]).reshape(-1, 3)
-    positions = np.array([dip.position for dip in config.dipoles]).reshape(-1, 3)
-    q, qp = np.tril_indices(len(config), -1)
+    moments, positions = config.moments, config.positions
+    q, qp = config.pairs.T
     cores = _dipole_tensor(
         positions[q] - positions[qp], "dipole pair energy at zero separation"
     )
     energies = np.einsum("pj,pjl,pl->p", moments[q], cores, moments[qp]) / (
         4.0 * np.pi * config.units.epsilon0
     )
-    pair_energies = dict(zip(zip(q.tolist(), qp.tolist()), energies.tolist()))
+    pair_energies = dict(zip(map(tuple, config.pairs.tolist()), energies.tolist()))
     return TransformReport(
         pair_energies=pair_energies,
         total_interaction=float(sum(pair_energies.values())),
@@ -272,9 +286,9 @@ def epsilon_dip_from_commutator(
         raise ValueError(
             "the q = qp diagonal is the self energy; use epsilon_self_regularized"
         )
-    dq, dqp = config.dipoles[q], config.dipoles[qp]
-    kernel = commutator_ae_modesum(lattice, dq.position, dqp.position, sigma)
-    value = (-1j / config.units.hbar) * (dq.moment @ kernel @ dqp.moment)
+    positions, moments = config.positions, config.moments
+    kernel = commutator_ae_modesum(lattice, positions[q], positions[qp], sigma)
+    value = (-1j / config.units.hbar) * (moments[q] @ kernel @ moments[qp])
     return float(value.real)
 
 
@@ -299,8 +313,8 @@ def pair_energies_from_commutator(
     per dipole, and khat = k / |k| from the per-axis wavenumbers, by the
     ordering invariant of :class:`ModeLattice`; hbar never enters.
 
-    Returns a dict keyed (q, qp) with q > qp, in the order of
-    :attr:`TransformReport.pair_energies`; empty for fewer than two dipoles.
+    Returns a dict keyed by the rows of ``config.pairs``, in their order;
+    empty for fewer than two dipoles.
     Values match the per-pair route to summation-order rounding.
     """
     _require_matching_units(config, lattice)
@@ -308,11 +322,10 @@ def pair_energies_from_commutator(
     n = len(config)
     if n < 2:
         return {}
-    moments = np.array([dip.moment for dip in config.dipoles])
-    positions = np.array([dip.position for dip in config.dipoles])
+    moments = config.moments
     # (n, 2N + 1) per-axis factors e^{-(sigma k_a)^2 / 2} e^{i k_a R_qa}
     fx, fy, fz = np.exp(-0.5 * (axis * sigma) ** 2) * np.exp(
-        1j * (positions.T[:, :, None] * axis)
+        1j * (config.positions.T[:, :, None] * axis)
     )
     labels = (len(axis),) * 3
     half = lattice.num_modes // 2
@@ -338,12 +351,9 @@ def pair_energies_from_commutator(
         waves *= moments @ khat  # block now views sqrt(w) A
         projected += block @ block.T
     gram = (moments @ moments.T) * plain - projected
-    u = lattice.units
-    return {
-        (q, qp): float(-2.0 * gram[q, qp] / (u.epsilon0 * lattice.volume))
-        for q in range(n)
-        for qp in range(q)
-    }
+    q, qp = config.pairs.T
+    energies = -2.0 * gram[q, qp] / (lattice.units.epsilon0 * lattice.volume)
+    return dict(zip(map(tuple, config.pairs.tolist()), energies.tolist()))
 
 
 def epsilon_self_regularized(d, lattice: ModeLattice, sigma: float) -> float:
@@ -359,11 +369,11 @@ def epsilon_self_regularized(d, lattice: ModeLattice, sigma: float) -> float:
 
 def _field_point(config: DipoleConfig, R) -> np.ndarray:
     R = as_vec3(R, "R")
-    for idx, dip in enumerate(config.dipoles):
-        if float(np.linalg.norm(R - dip.position)) == 0.0:
-            raise DegenerateSeparationError(
-                f"field point {R} coincides with dipole {idx}"
-            )
+    coincident = np.flatnonzero(_norm2(R - config.positions) == 0.0)
+    if coincident.size:
+        raise DegenerateSeparationError(
+            f"field point {R} coincides with dipole {coincident[0]}"
+        )
     return R
 
 
@@ -375,8 +385,8 @@ def field_shift(config: DipoleConfig, R) -> np.ndarray:
     """
     R = _field_point(config, R)
     total = np.zeros(3)
-    for dip in config.dipoles:
-        total += e_dip_field(R - dip.position, dip.moment, config.units)
+    for position, moment in zip(config.positions, config.moments):
+        total += e_dip_field(R - position, moment, config.units)
     return total
 
 
@@ -395,9 +405,8 @@ def field_shift_from_commutator(
     """
     _require_matching_units(config, lattice)
     R = _field_point(config, R)
-    moments = np.array([dip.moment for dip in config.dipoles]).reshape(-1, 3)
-    offsets = np.array([dip.position - R for dip in config.dipoles]).reshape(-1, 3)
-    return np.einsum("qjl,ql->j", _box_sum(lattice, offsets, sigma), moments)
+    sums = _box_sum(lattice, config.positions - R, sigma)
+    return np.einsum("qjl,ql->j", sums, config.moments)
 
 
 def transform_report(
@@ -409,8 +418,7 @@ def transform_report(
     D = sum_q d_q d_q^T, one box sum for all dipoles.
     """
     _require_matching_units(config, lattice)
-    moments = np.array([dip.moment for dip in config.dipoles]).reshape(-1, 3)
     at_zero = _box_sum(lattice, np.zeros((1, 3)), sigma)[0]
-    self_energy = -0.5 * np.sum(at_zero * (moments.T @ moments))
+    self_energy = -0.5 * np.sum(at_zero * (config.moments.T @ config.moments))
     base = pairwise_interaction(config)
     return replace(base, self_energy=float(self_energy), regulator_sigma=float(sigma))

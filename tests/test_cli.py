@@ -368,6 +368,23 @@ def test_malformed_config_names_key_path(tmp_path, capsys, command, cfg, needles
 
 
 @pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("verify-commutator", vc_config(sigma=10**400), "sigma"),
+        ("verify-commutator", vc_config(separations=[[0.0, 10**400, 0.2]]),
+         "separations[0][1]"),
+        ("bch-check", bch_config(units={"hbar": 10**400}), "units.hbar"),
+    ],
+    ids=["sigma", "separation", "hbar"],
+)
+def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys, command, cfg, key):
+    # JSON integers are unbounded; float() of a 400-digit one overflows
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+
+
+@pytest.mark.parametrize(
     "command, cfg",
     [
         ("verify-commutator", vc_config(sigma=None)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dipolegauge import (
     DegenerateSeparationError,
@@ -125,6 +125,40 @@ def test_dipole_config_rejects_coincident():
                 Dipole([0, 0, 0], [0, 1, 0]),
             )
         )
+    # two coincident pairs, (2, 1) and (3, 0): the first in row-major order
+    # is named, (2, 1), where column-major order would reach (3, 0) first
+    a, b = [0.1, 0.2, 0.3], [0.4, 0.5, 0.6]
+    dipoles = tuple(Dipole(r, [1.0, 0.0, 0.0]) for r in (a, b, b, a))
+    with pytest.raises(DegenerateSeparationError, match="dipoles 1 and 2 coincide"):
+        DipoleConfig(dipoles)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_one_pair_order(lattice4, count):
+    # DipoleConfig forms the pair order once; every pair-keyed route uses it
+    rng = np.random.default_rng(60 + count)
+    cfg = DipoleConfig(
+        dipoles=tuple(
+            Dipole(rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3), rng.normal(size=3))
+            for _ in range(count)
+        )
+    )
+    pairs = [tuple(pair) for pair in cfg.pairs.tolist()]
+    assert pairs == [(q, qp) for q in range(count) for qp in range(q)]
+    assert pairs == list(pairwise_interaction(cfg).pair_energies)
+    assert pairs == list(pair_energies_from_commutator(cfg, lattice4, 0.04))
+    positions = [dip.position for dip in cfg.dipoles]
+    for (q, qp), gap in zip(pairs, cfg.separations.tolist()):
+        assert gap == np.linalg.norm(positions[q] - positions[qp])
+    assert_array_equal(cfg.positions, np.reshape(positions, (-1, 3)))
+    assert_array_equal(
+        cfg.moments, np.reshape([dip.moment for dip in cfg.dipoles], (-1, 3))
+    )
+    assert cfg.positions.shape == cfg.moments.shape == (count, 3)
+    assert cfg.pairs.shape == (len(pairs), 2)
+    assert cfg.separations.shape == (len(pairs),)
+    for stored in (cfg.positions, cfg.moments, cfg.pairs, cfg.separations):
+        assert not stored.flags.writeable
 
 
 def test_pairwise_interaction_counts_and_values():
