@@ -63,7 +63,7 @@ from .operator_algebra import (
     OperatorPolynomial,
     adjoint_action,
     commutator,
-    fock_adjoint_oracle,
+    fock_adjoint_oracle_scan,
     fock_matrix,
 )
 from .units import UnitSystem
@@ -755,15 +755,19 @@ def _run_bch_check(cfg: dict):
     lower = OperatorPolynomial.annihilation(0)
     raise_ = OperatorPolynomial.creation(0)
     position_like = lower + raise_
+    generator = raise_ - lower
     tol = cfg["tolerances"]["bch_interior_abs"]
     interior = cfg["interior"]
-    for xi in cfg["xi_values"]:
-        exponent = xi * (raise_ - lower)
+    # one eigendecomposition of the generator serves every xi
+    blocks = fock_adjoint_oracle_scan(
+        generator, position_like, oracle_cfg, cfg["xi_values"], interior
+    )
+    for xi, oracle_block in zip(cfg["xi_values"], blocks):
+        exponent = xi * generator
         central = commutator(exponent, position_like)
         closed = adjoint_action(exponent, position_like)
-        closed_matrix = fock_matrix(closed, oracle_cfg)
-        oracle_matrix = fock_adjoint_oracle(exponent, position_like, oracle_cfg)
-        deviation = np.abs(closed_matrix - oracle_matrix)[:interior, :interior]
+        closed_block = fock_matrix(closed, oracle_cfg)[:interior, :interior]
+        deviation = np.abs(closed_block - oracle_block)
         outputs = {
             "xi": xi,
             "truncation": cfg["truncation"],

@@ -34,6 +34,7 @@ __all__ = [
     "FockOracleConfig",
     "fock_matrix",
     "fock_adjoint_oracle",
+    "fock_adjoint_oracle_scan",
 ]
 
 # canonical monomial: (sorted creator modes, sorted annihilator modes)
@@ -482,33 +483,51 @@ def fock_matrix(p: OperatorPolynomial, config: FockOracleConfig) -> np.ndarray:
 def fock_adjoint_oracle(
     x: OperatorPolynomial, y: OperatorPolynomial, config: FockOracleConfig
 ) -> np.ndarray:
-    """Brute-force e^X Y e^(-X) on the truncated Fock space.
+    """Brute-force e^X Y e^(-X): :func:`fock_adjoint_oracle_scan` at scale 1.
 
-    X must be anti-Hermitian in its coefficient pattern so that e^(-X) is the
-    conjugate transpose of e^X and the truncated conjugation stays exactly
-    unitary.  The result is the dense complex matrix U Y U^dag with U = e^X
-    taken spectrally (``_exp_anti_hermitian``, which is given each basis
-    state's total occupation); when U and Y are both real it is formed as
-    the real product U Y U^T.  It is trustworthy away from the truncation
-    edge, which is why comparisons against the closed-form identities should
-    restrict to an interior block.
+    Trustworthy away from the truncation edge; compare an interior block only.
     """
-    if not x.is_anti_hermitian():
+    return fock_adjoint_oracle_scan(x, y, config, [1.0])[0]
+
+
+def fock_adjoint_oracle_scan(
+    generator: OperatorPolynomial,
+    y: OperatorPolynomial,
+    config: FockOracleConfig,
+    scales,
+    interior: int | None = None,
+) -> list[np.ndarray]:
+    """Brute-force e^(sG) Y e^(-sG) on the truncated Fock space, per scale s.
+
+    G must be anti-Hermitian in its coefficient pattern, so that e^(-sG) is the
+    conjugate transpose of U = e^(sG) and the conjugation stays unitary.  G is
+    diagonalised once (``_exp_anti_hermitian``, given each basis state's total
+    occupation).  Per scale the result is the dense complex U_I Y U_I^dag, U_I
+    the first ``interior`` rows of U (all when None); when U and Y are both
+    real it is formed as the real product U_I Y U_I^T.
+    """
+    if not generator.is_anti_hermitian():
         raise ValueError(
             "oracle generator must have an anti-Hermitian coefficient pattern"
         )
     shape = config.truncations
     occupations = np.indices(shape).reshape(len(shape), -1).sum(axis=0)
-    u = _exp_anti_hermitian(fock_matrix(x, config), occupations)
+    exp_rows = _exp_anti_hermitian(fock_matrix(generator, config), occupations)
     ym = fock_matrix(y, config)
-    if np.isrealobj(u) and not np.any(ym.imag):
-        return (u @ ym.real @ u.T).astype(complex)
-    return u @ ym @ u.conj().T
+
+    def conjugate(u):
+        if np.isrealobj(u) and not np.any(ym.imag):
+            return (u @ ym.real @ u.T).astype(complex)
+        return u @ ym @ u.conj().T
+
+    return [conjugate(exp_rows(scale, interior)) for scale in scales]
 
 
-def _exp_anti_hermitian(xm: np.ndarray, occupations=None) -> np.ndarray:
-    """e^X of a dense anti-Hermitian matrix, unitary by construction.
+def _exp_anti_hermitian(xm: np.ndarray, occupations=None):
+    """``rows(s, count=None)``: first ``count`` rows (all when None) of e^(sX).
 
+    One eigendecomposition of the dense anti-Hermitian X serves every s, and
+    e^(sX) is unitary by construction; below s = 1, and s scales every w.
     H = -iX is Hermitian: with H = V diag(w) V^dag, e^X = V diag(e^(iw)) V^dag.
     ``eigh`` reads one triangle only, so H is first taken as (H + H^dag) / 2:
     a rounding-level anti-Hermitian defect of X enters through its mean rather
@@ -522,7 +541,7 @@ def _exp_anti_hermitian(xm: np.ndarray, occupations=None) -> np.ndarray:
     flips the parity of n, so C couples equal and Sn opposite parities only,
     and entry (m, k) of e^X is C, -Sn, -C or Sn for n_m - n_k = 0, 1, 2 or 3
     mod 4.  The test of X is what makes the route exact, for any integer
-    labels n.  Otherwise the result is the complex e^X above.
+    labels n.  Otherwise the rows are those of the complex e^X above.
     """
     n = np.arange(len(xm)) if occupations is None else np.asarray(occupations)
     n = (n % 4).astype(np.int8)
@@ -532,9 +551,14 @@ def _exp_anti_hermitian(xm: np.ndarray, occupations=None) -> np.ndarray:
         x = xm.real
         s = np.where(diff == 3, x, -x)
         w, v = np.linalg.eigh(0.5 * (s + s.T))
-        c = (v * np.cos(w)) @ v.T
-        sn = (v * np.sin(w)) @ v.T
-        return np.choose(diff, [c, -sn, -c, sn])
+
+        def real_rows(scale, count=None):
+            c = (v[:count] * np.cos(scale * w)) @ v.T
+            sn = (v[:count] * np.sin(scale * w)) @ v.T
+            return np.choose(diff[:count], [c, -sn, -c, sn])
+
+        return real_rows
     h = -1j * xm
     w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return (v * np.exp(1j * w)) @ v.conj().T
+    vh = v.conj().T
+    return lambda scale, count=None: (v[:count] * np.exp(1j * (scale * w))) @ vh

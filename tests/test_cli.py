@@ -295,6 +295,23 @@ def test_bch_dim_cap_enforced(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_bch_check_decomposes_the_generator_once(tmp_path, capsys, monkeypatch):
+    # every xi is a scale of one generator, so one eigh serves the whole run
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    cfg = bch_config(xi_values=[0.229, 0.46, 0.947], truncation=400, interior=20)
+    assert run(tmp_path, "bch-check", cfg, "--format", "csv") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",true") for row in rows)
+    assert calls == [(400, 400)]
+
+
 def test_bch_bad_xi(tmp_path):
     assert run(tmp_path, "bch-check", bch_config(xi_values=["big"])) == 2
     assert run(tmp_path, "bch-check", bch_config(xi_values=[])) == 2

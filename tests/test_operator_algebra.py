@@ -12,6 +12,7 @@ from dipolegauge import (
     adjoint_action,
     commutator,
     fock_adjoint_oracle,
+    fock_adjoint_oracle_scan,
     fock_matrix,
     is_central,
     time_derivative_conjugation,
@@ -290,7 +291,7 @@ def test_spectral_exponential_matches_expm_and_is_unitary(x, cfg, real):
     from scipy.linalg import expm
 
     xm = fock_matrix(x, cfg)
-    u = _exp_anti_hermitian(xm)
+    u = _exp_anti_hermitian(xm)(1.0)
     assert np.isrealobj(u) == real
     assert np.max(np.abs(u - expm(xm))) <= 1e-12
     assert np.max(np.abs(u @ u.conj().T - np.eye(cfg.dimension))) <= 1e-13
@@ -306,7 +307,8 @@ def test_spectral_exponential_exact_phase(theta):
     # H = theta n is diagonal: the eigenvectors are exact, so U is exactly
     # diagonal, and each phase is off only by the rounding of its eigenvalue
     n = np.arange(40)
-    u = _exp_anti_hermitian(fock_matrix(1j * theta * ad() * a(), oracle_config(40)))
+    xm = fock_matrix(1j * theta * ad() * a(), oracle_config(40))
+    u = _exp_anti_hermitian(xm)(1.0)
     assert np.array_equal(u, np.diag(np.diag(u)))
     ulp = np.spacing(abs(theta) * n[-1])
     assert_allclose(np.diag(u), np.exp(1j * theta * n), rtol=0, atol=4 * ulp)
@@ -319,9 +321,57 @@ def test_spectral_exponential_reads_both_triangles():
 
     xm = fock_matrix(0.4 * (ad() - a()), oracle_config(12))
     xm[2, 5] += 1e-3 - 2e-3j
-    u = _exp_anti_hermitian(xm)
+    u = _exp_anti_hermitian(xm)(1.0)
     assert np.max(np.abs(u - expm(0.5 * (xm - xm.conj().T)))) <= 1e-13
 
+
+
+def _complex_generator():
+    # a complex displacement plus a rotation: the complex eigh route
+    c = 0.3 - 0.7j
+    return c * ad() - c.conjugate() * a() + 0.6j * ad() * a()
+
+
+@pytest.mark.parametrize(
+    "generator", [ad() - a(), _complex_generator()], ids=["real", "complex"]
+)
+def test_oracle_is_the_scan_at_scale_one(generator):
+    # one code path: the single-call oracle is the scan's full matrix at 1.0
+    cfg = oracle_config(40)
+    y = a() + ad()
+    scan = fock_adjoint_oracle_scan(generator, y, cfg, [1.0])
+    assert len(scan) == 1
+    assert np.array_equal(fock_adjoint_oracle(generator, y, cfg), scan[0])
+
+
+@pytest.mark.parametrize("truncation", [40, 400])
+@pytest.mark.parametrize(
+    "generator", [ad() - a(), _complex_generator()], ids=["real", "complex"]
+)
+def test_oracle_scan_interior_blocks_match_per_scale_oracle(generator, truncation):
+    # each block is the interior of e^(xi G) Y e^(-xi G) from its own oracle call
+    cfg = oracle_config(truncation)
+    y = a() + ad()
+    size = 20
+    scales = [0.1, 0.3, 0.947, 1.0]
+    blocks = fock_adjoint_oracle_scan(generator, y, cfg, scales, size)
+    y_norm = np.max(np.abs(fock_matrix(y, cfg)))
+    assert len(blocks) == len(scales)
+    for xi, block in zip(scales, blocks):
+        assert block.shape == (size, size) and block.dtype == complex
+        full = fock_adjoint_oracle(xi * generator, y, cfg)
+        assert np.max(np.abs(block - interior(full, size))) <= 1e-13 * y_norm
+
+
+def test_oracle_scan_checks_generator_before_building_matrices(monkeypatch):
+    from dipolegauge import operator_algebra
+
+    def forbidden(*args):
+        raise AssertionError("Fock matrix built")
+
+    monkeypatch.setattr(operator_algebra, "fock_matrix", forbidden)
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        fock_adjoint_oracle_scan(ad(), a() + ad(), oracle_config(400), [0.5, 1.0], 3)
 
 
 # --- properties against the dense Fock matrices -----------------------------
