@@ -98,6 +98,12 @@ DEFAULTS = {
     "sigma_box_divisor": 20.0,
 }
 
+# largest lattice half-extent N a config may ask for, checked while parsing,
+# before any allocation.  Mode sums cost O(N^3) time: at N = 256 one box-sum
+# row takes 2.7 s and the 351-pair Gram of 27 dipoles 150 s, each process
+# peaking under 60 MB; at N = 512 one row takes 19 s and 118 MB (2-core Xeon)
+MAX_HALF_EXTENT = 256
+
 TOLERANCES = {
     "commutator_rel": 0.02,
     "pair_energy_rel": 0.02,
@@ -304,12 +310,14 @@ def _positive_or_none(value, where, parsed=None) -> float | None:
     return None if value is None else _positive(value, where)
 
 
-def _int(minimum: int):
+def _int(minimum: int, maximum: float = float("inf")):
     def parse(value, where, parsed=None) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
         if value < minimum:
             raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+        if value > maximum:
+            raise ConfigError(f"{where} must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -378,9 +386,10 @@ _COMMON_KEYS = {
     "output_format": (_one_of("json", "csv"), "json"),
     "tolerances": (_block({k: (_positive, v) for k, v in TOLERANCES.items()}), TOLERANCES),
 }
+_HALF_EXTENT = _int(1, MAX_HALF_EXTENT)
 _LATTICE_KEYS = {
     "box_length": (_positive, DEFAULTS["box_length"]),
-    "half_extent": (_int(1), DEFAULTS["half_extent"]),
+    "half_extent": (_HALF_EXTENT, DEFAULTS["half_extent"]),
 }
 _LATTICE = (_block(_LATTICE_KEYS), None)
 _SIGMA = (_positive_or_none, None)
@@ -390,7 +399,7 @@ _KEYS = {
     "verify-commutator": {
         "separations": (_list_of(_vec3), REQUIRED),
         "box_length": (_positive, DEFAULTS["box_length"]),
-        "half_extents": (_list_of(_int(1)), DEFAULTS["half_extents_sweep"]),
+        "half_extents": (_list_of(_HALF_EXTENT), DEFAULTS["half_extents_sweep"]),
         "sigma": _SIGMA,
     },
     "dipole-energy": {

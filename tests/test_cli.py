@@ -402,6 +402,33 @@ def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("verify-commutator", vc_config(half_extents=[10**29]), "half_extents[0]"),
+        ("verify-commutator", vc_config(half_extents=[8, 1000000]), "half_extents[1]"),
+        ("dipole-energy", de_config(lattice={"half_extent": 100000}),
+         "lattice.half_extent"),
+        ("field-shift", de_config(lattice={"half_extent": 10**400},
+                                  field_points=[[0, 0, 0.4]]), "lattice.half_extent"),
+    ],
+    ids=["int64-overflow", "second-entry", "dipole-energy", "field-shift"],
+)
+def test_impossible_lattice_is_a_config_error(tmp_path, capsys, command, cfg, key):
+    # the cap is checked while the config is parsed, before any mode sum runs
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+
+
+def test_half_extent_cap_is_inclusive():
+    validate = cli._COMMANDS["verify-commutator"][0]
+    largest = cli.MAX_HALF_EXTENT
+    assert validate(vc_config(half_extents=[48, largest]))["half_extents"] == [48, largest]
+    with pytest.raises(cli.ConfigError, match=r"half_extents\[0\] must be <= "):
+        validate(vc_config(half_extents=[largest + 1]))
+
+
+@pytest.mark.parametrize(
     "command, cfg",
     [
         ("verify-commutator", vc_config(sigma=None)),
