@@ -325,7 +325,6 @@ def test_spectral_exponential_reads_both_triangles():
     assert np.max(np.abs(u - expm(0.5 * (xm - xm.conj().T)))) <= 1e-13
 
 
-
 def _complex_generator():
     # a complex displacement plus a rotation: the complex eigh route
     c = 0.3 - 0.7j
