@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import sys
@@ -169,7 +168,7 @@ class ResultRecord:
 
     command: str
     label: str
-    input_digest: str
+    input_digest: str | None  # None when the output format prints none
     outputs: dict
     comparisons: list[Comparison] = field(default_factory=list)
     gates_exit: bool = True
@@ -517,20 +516,28 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _load_raw_config(path: str) -> tuple[dict, str]:
+def _load_raw_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    digest = hashlib.sha256(
-        json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
-    return raw, digest
+
+
+def _config_digest(raw: dict) -> str:
+    """SHA-256 of the canonical JSON of ``raw``, the records' ``input_digest``.
+
+    Only JSON output prints it, so only a JSON run imports hashlib, which
+    loads OpenSSL (about 3.5 MB of resident memory per process).
+    """
+    import hashlib
+
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # Each runner below takes the validated config and yields one (label, key,
@@ -689,6 +696,8 @@ def _run_coulomb_path(cfg: dict):
     }
     # every integral of a run goes into one batch, one per (path, point) job
     points = cfg["field_points"]
+    # a point's label text, formatted once however many records name it
+    point_labels = [_label(point) for point in points]
     if cfg["charge_paths"] is None:
         # reference mode: straight and staircase path per field point
         pairs = [
@@ -700,7 +709,7 @@ def _run_coulomb_path(cfg: dict):
         ]
         jobs = [(path, point) for pair, point in zip(pairs, points) for path in pair]
         values = iter(commutator_line_integrals(jobs, units, **quad_kwargs))
-        for (straight, _), point in zip(pairs, points):
+        for (straight, _), point, point_label in zip(pairs, points, point_labels):
             integral, stairs_integral = next(values), next(values)
             oracle = line_integral_endpoint(straight, point, units)
             minus_coulomb = -coulomb_field(point, cfg["charge"], units)
@@ -718,7 +727,7 @@ def _run_coulomb_path(cfg: dict):
                 "endpoint_formula": oracle,
                 "minus_coulomb_field": minus_coulomb,
             }
-            yield f"point={_label(point)}", tuple(point), outputs, comparisons, True
+            yield f"point={point_label}", tuple(point), outputs, comparisons, True
         return
 
     # explicit-path mode
@@ -739,7 +748,7 @@ def _run_coulomb_path(cfg: dict):
             "minus_coulomb_field": minus_coulomb,
         }
         comparisons = _coulomb_comparisons(integral, oracle, minus_coulomb, tolerances)
-        label = f"path={p_idx} point={_label(point)}"
+        label = f"path={p_idx} point={point_labels[pt_idx]}"
         yield label, tuple(point), outputs, comparisons, True
     for a, b in cfg["path_pairs"]:
         charge = paths[a].charge
@@ -749,7 +758,7 @@ def _run_coulomb_path(cfg: dict):
             )
             outputs = {"path_pair": [a, b], "point": point, "residual": residual}
             row = _row("path_independence_residual", residual, 0.0, residual_tol)
-            label = f"paths=({a},{b}) point={_label(point)}"
+            label = f"paths=({a},{b}) point={point_labels[pt_idx]}"
             yield label, tuple(point), outputs, [row], True
 
 
@@ -767,6 +776,12 @@ def _run_bch_check(cfg: dict):
     generator = raise_ - lower
     tol = cfg["tolerances"]["bch_interior_abs"]
     interior = cfg["interior"]
+    # a normal-ordered polynomial's upper-left block does not depend on the
+    # truncation, so the closed route is built only as large as the interior
+    # (a truncation is at least 2)
+    closed_cfg = FockOracleConfig(
+        modes=(0,), truncations=(max(interior, 2),), dim_cap=cfg["dim_cap"]
+    )
     # one eigendecomposition of the generator serves every xi
     blocks = fock_adjoint_oracle_scan(
         generator, position_like, oracle_cfg, cfg["xi_values"], interior
@@ -775,7 +790,7 @@ def _run_bch_check(cfg: dict):
         exponent = xi * generator
         central = commutator(exponent, position_like)
         closed = adjoint_action(exponent, position_like)
-        closed_block = fock_matrix(closed, oracle_cfg)[:interior, :interior]
+        closed_block = fock_matrix(closed, closed_cfg)[:interior, :interior]
         deviation = np.abs(closed_block - oracle_block)
         outputs = {
             "xi": xi,
@@ -857,8 +872,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     validator, runner, _ = _COMMANDS[args.command]
     try:
-        raw, digest = _load_raw_config(args.config)
+        raw = _load_raw_config(args.config)
         cfg = validator(raw)
+        fmt = args.format or cfg["output_format"]
+        # CSV prints no digest, so a CSV run never computes it
+        digest = _config_digest(raw) if fmt == "json" else None
         records, keys = [], {}
         last = time.perf_counter()
         for label, key, outputs, comparisons, gates_exit in runner(cfg):
@@ -886,7 +904,6 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 
-    fmt = args.format or cfg["output_format"]
     render = render_json if fmt == "json" else render_csv
     text = render(args.command, records)
     if args.out:

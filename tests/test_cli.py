@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -310,6 +312,43 @@ def test_bch_check_decomposes_the_generator_once(tmp_path, capsys, monkeypatch):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 3 and all(row.endswith(",true") for row in rows)
     assert calls == [(400, 400)]
+
+
+@pytest.mark.parametrize("interior, truncation", [(1, 20), (20, 20), (2, 2)])
+def test_bch_check_interior_edges(tmp_path, capsys, interior, truncation):
+    # the closed route is built at max(interior, 2), the smallest truncation.
+    # An interior reaching the truncation holds the truncated edge, where
+    # e^X Y e^(-X) = Y + [X, Y] fails by O(1), so those runs exit 1
+    cfg = bch_config(xi_values=[0.1, 0.3], truncation=truncation, interior=interior)
+    edge = interior == truncation
+    assert run(tmp_path, "bch-check", cfg, "--format", "csv") == (1 if edge else 0)
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["record"] for row in rows] == ["xi=0.1", "xi=0.3"]
+    for row in rows:
+        assert row["passed"] == ("false" if edge else "true")
+        assert (float(row["computed"]) > 0.1) == edge
+
+
+@pytest.mark.parametrize("interior", [1, 2, 10, 40])
+def test_closed_route_block_does_not_depend_on_truncation(interior):
+    # a normal-ordered polynomial's upper-left block is the same bits at any
+    # truncation that holds it, so bch-check builds it at the interior only
+    from dipolegauge.operator_algebra import (
+        FockOracleConfig,
+        OperatorPolynomial,
+        adjoint_action,
+        fock_matrix,
+    )
+
+    lower = OperatorPolynomial.annihilation(0)
+    raise_ = OperatorPolynomial.creation(0)
+    polys = [adjoint_action(xi * (raise_ - lower), lower + raise_) for xi in (0.1, 0.947)]
+    polys.append(raise_ * raise_ * lower + 0.5j * raise_ * lower + lower * lower)
+    full, small = FockOracleConfig((0,), 40), FockOracleConfig((0,), max(interior, 2))
+    for poly in polys:
+        want = fock_matrix(poly, full)[:interior, :interior]
+        got = fock_matrix(poly, small)[:interior, :interior]
+        assert np.array_equal(got, want)
 
 
 def test_bch_bad_xi(tmp_path):
@@ -820,6 +859,67 @@ def test_digest_tracks_config_content(tmp_path, capsys):
     run(tmp_path, "bch-check", bch_config(xi_values=[0.4]))
     third = json.loads(capsys.readouterr().out)["records"][0]["input_digest"]
     assert third != first
+
+
+def test_csv_run_never_hashes_the_config(tmp_path, capsys, monkeypatch):
+    # only JSON prints input_digest, so only JSON pays for hashlib (OpenSSL)
+    import hashlib
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("config hashed")
+
+    monkeypatch.setattr(hashlib, "sha256", forbidden)
+    assert run(tmp_path, "bch-check", bch_config(), "--format", "csv") == 0
+    assert capsys.readouterr().out.startswith("command,record,comparison,")
+    assert run(tmp_path, "bch-check", bch_config(output_format="csv")) == 0
+    with pytest.raises(AssertionError, match="config hashed"):
+        run(tmp_path, "bch-check", bch_config(), "--format", "json")
+
+
+_HASHLIB_PROBE = """
+import runpy, sys
+
+import numpy
+
+if "_hashlib" in sys.modules:
+    print("numpy")
+    raise SystemExit
+sys.argv = ["dipolegauge", *sys.argv[1:]]
+try:
+    runpy.run_module("dipolegauge.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, "_hashlib" in sys.modules)
+"""
+
+
+def test_csv_run_never_loads_openssl(tmp_path):
+    # a fresh interpreter runs the CLI as python -m does and reports whether
+    # the OpenSSL module _hashlib was loaded
+    cfg = {
+        "schema_version": 1,
+        "dipoles": [
+            {"position": [0.4, 0.5, 0.5], "moment": [1.0, 0.0, 0.0]},
+            {"position": [0.6, 0.5, 0.5], "moment": [0.6, 0.8, 0.0]},
+        ],
+        "field_points": [[0.5, 0.5, 0.7]],
+        "lattice": {"half_extent": 6},
+        "sigma": 0.04,
+        "tolerances": {"field_shift_rel": 0.5},
+    }
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-c", _HASHLIB_PROBE, "field-shift", *argv, "--format", "csv"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    if result.stdout == "numpy\n":
+        pytest.skip("importing numpy alone loads _hashlib")
+    assert result.stdout == "0 False\n", result.stderr
 
 
 @pytest.mark.parametrize(
