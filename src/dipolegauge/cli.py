@@ -532,7 +532,7 @@ def _config_digest(raw: dict) -> str:
     """SHA-256 of the canonical JSON of ``raw``, the records' ``input_digest``.
 
     Only JSON output prints it, so only a JSON run imports hashlib, which
-    loads OpenSSL (about 3.5 MB of resident memory per process).
+    loads OpenSSL.
     """
     import hashlib
 
