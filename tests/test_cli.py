@@ -863,8 +863,6 @@ def test_digest_tracks_config_content(tmp_path, capsys):
 
 def test_csv_run_never_hashes_the_config(tmp_path, capsys, monkeypatch):
     # only JSON prints input_digest, so only JSON pays for hashlib (OpenSSL)
-    import hashlib
-
     def forbidden(*args, **kwargs):
         raise AssertionError("config hashed")
 
