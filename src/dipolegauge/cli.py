@@ -58,6 +58,7 @@ from .gauge_dipole import (
     transform_report,
 )
 from .operator_algebra import (
+    FOCK_DIM_CAP,
     FockOracleConfig,
     OperatorPolynomial,
     adjoint_action,
@@ -93,7 +94,6 @@ DEFAULTS = {
     "bch_xi_values": [0.1, 0.3, 1.0],
     "bch_truncation": 40,
     "bch_interior": 20,
-    "bch_dim_cap": 4096,
     "sigma_box_divisor": 20.0,
 }
 
@@ -423,9 +423,8 @@ _KEYS = {
     },
     "bch-check": {
         "xi_values": (_list_of(_number), DEFAULTS["bch_xi_values"]),
-        "truncation": (_int(2), DEFAULTS["bch_truncation"]),
+        "truncation": (_int(2, FOCK_DIM_CAP), DEFAULTS["bch_truncation"]),
         "interior": (_int(1), DEFAULTS["bch_interior"]),
-        "dim_cap": (_int(2), DEFAULTS["bch_dim_cap"]),
     },
 }
 
@@ -445,6 +444,8 @@ def _default_sigma(sigma: float | None, gaps, box_length: float) -> float:
 
 
 def _check_verify_commutator(cfg: dict) -> None:
+    """Also resolves each separation's sigma, in order, as ``sigmas``."""
+    cfg["sigmas"] = []
     # the regulated sum only approximates the continuum inside sigma < rho < L
     for i, sep in enumerate(cfg["separations"]):
         rho = float(np.linalg.norm(sep))
@@ -454,14 +455,17 @@ def _check_verify_commutator(cfg: dict) -> None:
                 f"separations[{i}]: need sigma < |rho| < box_length, got "
                 f"sigma={sigma}, |rho|={rho}, box_length={cfg['box_length']}"
             )
+        cfg["sigmas"].append(sigma)
 
 
 def _check_field_shift(cfg: dict) -> None:
-    positions = cfg["dipoles"].positions
-    for i, point in enumerate(cfg["field_points"]):
-        hits = np.flatnonzero(_norm2(point - positions) == 0.0)
-        if hits.size:
-            raise ConfigError(f"field_points[{i}] coincides with dipole {hits[0]}")
+    """Also resolves ``sigma`` by the default rule when a lattice is set."""
+    gaps = _norm2(np.array(cfg["field_points"])[:, None] - cfg["dipoles"].positions)
+    hits = np.argwhere(gaps == 0.0)  # (point, dipole) pairs in row-major order
+    if hits.size:
+        raise ConfigError(f"field_points[{hits[0, 0]}] coincides with dipole {hits[0, 1]}")
+    if cfg["lattice"] is not None:
+        cfg["sigma"] = _default_sigma(cfg["sigma"], gaps, cfg["lattice"]["box_length"])
 
 
 def _check_coulomb_path(cfg: dict) -> None:
@@ -571,9 +575,7 @@ def _row(name, computed, reference, tol, scale=1.0, *, relative=True) -> Compari
 def _run_verify_commutator(cfg: dict):
     gate_extent = max(cfg["half_extents"])
     tol = cfg["tolerances"]["commutator_rel"]
-    for sep in cfg["separations"]:
-        rho = float(np.linalg.norm(sep))
-        sigma = _default_sigma(cfg["sigma"], [rho], cfg["box_length"])
+    for sep, sigma in zip(cfg["separations"], cfg["sigmas"]):
         reference = analytic_dipole_tensor(sep, cfg["units"]).imag
         dominant = float(np.max(np.abs(reference)))
         for extent in cfg["half_extents"]:
@@ -642,8 +644,6 @@ def _run_field_shift(cfg: dict):
     sigma = cfg["sigma"]
     if cfg["lattice"] is not None:
         lattice = build_mode_lattice(**cfg["lattice"], units=cfg["units"])
-        gaps = _norm2(np.array(cfg["field_points"])[:, None] - config.positions)
-        sigma = _default_sigma(sigma, gaps, lattice.box_length)
     for point in cfg["field_points"]:
         closed = field_shift(config, point)
         route = None
@@ -767,9 +767,7 @@ def _run_coulomb_path(cfg: dict):
 
 
 def _run_bch_check(cfg: dict):
-    oracle_cfg = FockOracleConfig(
-        modes=(0,), truncations=(cfg["truncation"],), dim_cap=cfg["dim_cap"]
-    )
+    oracle_cfg = FockOracleConfig(modes=(0,), truncations=(cfg["truncation"],))
     lower = OperatorPolynomial.annihilation(0)
     raise_ = OperatorPolynomial.creation(0)
     position_like = lower + raise_
@@ -779,9 +777,7 @@ def _run_bch_check(cfg: dict):
     # a normal-ordered polynomial's upper-left block does not depend on the
     # truncation, so the closed route is built only as large as the interior
     # (a truncation is at least 2)
-    closed_cfg = FockOracleConfig(
-        modes=(0,), truncations=(max(interior, 2),), dim_cap=cfg["dim_cap"]
-    )
+    closed_cfg = FockOracleConfig(modes=(0,), truncations=(max(interior, 2),))
     # one eigendecomposition of the generator serves every xi
     blocks = fock_adjoint_oracle_scan(
         generator, position_like, oracle_cfg, cfg["xi_values"], interior

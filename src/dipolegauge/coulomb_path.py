@@ -202,8 +202,8 @@ def _node_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(padded, axis=1)[:, -1]
 
 
-def _gk21(lo: np.ndarray, hi: np.ndarray, integrand):
-    """GK21 integral, error and rounding-error estimates on each [lo[j], hi[j]].
+def _gk21(lo: np.ndarray, hi: np.ndarray, integrand) -> list:
+    """GK21 (integral, error, rounding error) triple of each [lo[j], hi[j]].
 
     All 21 nodes of every interval go to the integrand in one call, as an
     (n, 21) array; it returns (n, 21, 3).  The error estimate is QUADPACK's:
@@ -221,27 +221,29 @@ def _gk21(lo: np.ndarray, hi: np.ndarray, integrand):
     diffs = _norm2((kronrod - gauss) * half[:, None]).tolist()
     devs = _norm2(dev_sum * half[:, None]).tolist()
     rounds = _norm2((50 * sys.float_info.epsilon * half)[:, None] * abs_sum).tolist()
-    errs = []
+    triples = []
     # scalar float arithmetic: the C library's pow, as QUADPACK's loop uses
-    for err, dev, rnd in zip(diffs, devs, rounds):
+    for value, err, dev, rnd in zip(half[:, None] * kronrod, diffs, devs, rounds):
         if dev != 0 and err != 0:
             err = dev * min(1.0, (200 * err / dev) ** 1.5)
         if rnd > sys.float_info.min:
             err = max(err, rnd)
-        errs.append(err)
-    return half[:, None] * kronrod, errs, rounds
+        triples.append((value, err, rnd))
+    return triples
 
 
 class _AdaptiveIntegral:
     """One integral's state in scipy.integrate's adaptive loop over [0, 1].
 
     Subintervals sit in a heap keyed (-error, lo, hi), their GK21 values in
-    ``estimates``.  ``pop`` and ``push`` are the two halves of one round of
-    that loop, split so that the subintervals of many integrals can be
-    evaluated in between by one ``_gk21`` call.
+    ``estimates``.  One round of that loop is ``pop``, a ``split`` of each
+    popped subinterval, then ``going_on``; it is cut up so that the
+    subintervals of many integrals can be evaluated by one ``_gk21`` call
+    between ``pop`` and the splits.
     """
 
-    def __init__(self, value: np.ndarray, error: float, rounding: float):
+    def __init__(self, first: tuple):
+        value, error, rounding = first
         self.total = value.copy()
         self.global_error, self.rounding_error = error, rounding
         self.estimates = {(0.0, 1.0): value}
@@ -264,33 +266,32 @@ class _AdaptiveIntegral:
             err_sum += -neg_err
         return popped
 
-    def push(self, popped, halves, epsrel: float) -> bool:
-        """Replace each popped subinterval by its halves, in pop order.
+    def split(self, popped: tuple, c: float, left: tuple, right: tuple) -> None:
+        """Replace the ``popped`` subinterval [lo, hi] by [lo, c] and [c, hi],
+        whose GK21 triples are ``left`` and ``right``; called in pop order."""
+        old_err, a, b, old = popped
+        left_value, left_err, left_rnd = left
+        right_value, right_err, right_rnd = right
+        self.total += left_value + right_value - old
+        self.global_error += left_err + right_err - old_err
+        self.rounding_error += left_rnd + right_rnd
+        self.estimates[(a, c)] = left_value
+        self.estimates[(c, b)] = right_value
+        heapq.heappush(self.heap, (-left_err, a, c))
+        heapq.heappush(self.heap, (-right_err, c, b))
 
-        ``halves[k]`` is (c, left, left_err, left_rounding, right, right_err,
-        right_rounding) for the halves [lo, c] and [c, hi] of ``popped[k]``.
-        Returns whether the loop goes on: it stops when the global error is
-        below tol / 8 with at least two subintervals, or below the
-        accumulated rounding error, or is no longer finite, or the heap holds
-        _QUAD_LIMIT subintervals.
-        """
-        heap, estimates = self.heap, self.estimates
-        for (old_err, a, b, old), half in zip(popped, halves):
-            c, left, left_err, left_rnd, right, right_err, right_rnd = half
-            self.total += left + right - old
-            self.global_error += left_err + right_err - old_err
-            self.rounding_error += left_rnd + right_rnd
-            estimates[(a, c)] = left
-            estimates[(c, b)] = right
-            heapq.heappush(heap, (-left_err, a, c))
-            heapq.heappush(heap, (-right_err, c, b))
-        if len(heap) >= 2:
+    def going_on(self, epsrel: float) -> bool:
+        """Whether the loop goes on after a round's splits: it stops when the
+        global error is below tol / 8 with at least two subintervals, or
+        below the accumulated rounding error, or is no longer finite, or the
+        heap holds _QUAD_LIMIT subintervals."""
+        if len(self.heap) >= 2:
             tol = max(_QUAD_EPSABS, epsrel * _norm2(self.total))
             if self.global_error < tol / 8 or self.global_error < self.rounding_error:
                 return False
         if not (math.isfinite(self.global_error) and math.isfinite(self.rounding_error)):
             return False
-        return len(heap) < _QUAD_LIMIT
+        return len(self.heap) < _QUAD_LIMIT
 
 
 def _segment_integrals(
@@ -309,8 +310,8 @@ def _segment_integrals(
     this changes no bit of any row.
     """
 
-    def evaluate(rows, lo, hi):
-        values, errs, rounds = [], [], []
+    def evaluate(rows, lo, hi) -> list:
+        triples = []
         for s in range(0, len(lo), _QUAD_ROWS):
             part = slice(s, s + _QUAD_ROWS)
             a, d, r = (x[rows[part], None] for x in (starts, dirs, points))
@@ -318,58 +319,47 @@ def _segment_integrals(
             def integrand(u, a=a, d=d, r=r):
                 return (dipole_kernel(a + u[..., None] * d - r) @ d[..., None])[..., 0]
 
-            part_values, part_errs, part_rounds = _gk21(lo[part], hi[part], integrand)
-            values.append(part_values)
-            errs += part_errs
-            rounds += part_rounds
-        return np.concatenate(values), errs, rounds
+            triples += _gk21(lo[part], hi[part], integrand)
+        return triples
 
     count = len(starts)
-    first, errs, rounds = evaluate(np.arange(count), np.zeros(count), np.ones(count))
-    quads = [_AdaptiveIntegral(first[j], errs[j], rounds[j]) for j in range(count)]
+    firsts = evaluate(np.arange(count), np.zeros(count), np.ones(count))
+    quads = [_AdaptiveIntegral(first) for first in firsts]
     live = list(range(count))
     while live:
-        popped = [quads[j].pop(epsrel) for j in live]
-        rows = np.repeat(live, [len(p) for p in popped])
-        lo = np.array([p[1] for batch in popped for p in batch])
-        hi = np.array([p[2] for batch in popped for p in batch])
+        # each popped subinterval as (row, (error, lo, hi, estimate))
+        popped = [(j, p) for j in live for p in quads[j].pop(epsrel)]
+        rows = np.array([j for j, _ in popped])
+        lo = np.array([p[1] for _, p in popped])
+        hi = np.array([p[2] for _, p in popped])
         mid = 0.5 * (lo + hi)
-        n = len(lo)
-        values, errs, rounds = evaluate(
+        n = len(popped)
+        triples = evaluate(
             np.concatenate([rows, rows]),
             np.concatenate([lo, mid]),
             np.concatenate([mid, hi]),
         )
-        halves = list(zip(
-            mid.tolist(), values[:n], errs[:n], rounds[:n], values[n:], errs[n:], rounds[n:]
-        ))
-        still_live = []
-        start = 0
-        for j, batch in zip(live, popped):
-            stop = start + len(batch)
-            if quads[j].push(batch, halves[start:stop], epsrel):
-                still_live.append(j)
-            start = stop
-        live = still_live
+        for (j, p), c, left, right in zip(popped, mid.tolist(), triples[:n], triples[n:]):
+            quads[j].split(p, c, left, right)
+        live = [j for j in live if quads[j].going_on(epsrel)]
     return np.array([q.total for q in quads])
 
 
-def _segment_clearance(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> float:
-    seg = b - a
-    length_sq = float(seg @ seg)
-    t = float(np.clip(((r - a) @ seg) / length_sq, 0.0, 1.0))
-    return float(np.linalg.norm(a + t * seg - r))
-
-
 def _check_clearance(path: ChargePath, r: np.ndarray, exclusion_radius: float) -> None:
-    for i in range(path.num_segments):
-        clearance = _segment_clearance(path.vertices[i], path.vertices[i + 1], r)
-        if clearance <= exclusion_radius:
-            raise PathSingularityError(
-                f"segment {i} passes within {clearance:.3e} of the field point "
-                f"(exclusion radius {exclusion_radius:.3e})",
-                segment_index=i,
-            )
+    """Raise for the first segment of ``path`` within ``exclusion_radius`` of r."""
+    starts = path.vertices[:-1]
+    segs = np.diff(path.vertices, axis=0)
+    # each segment's point nearest r, from one pass over all segments
+    t = np.clip(np.vecdot(r - starts, segs) / np.vecdot(segs, segs), 0.0, 1.0)
+    clearances = _norm2(starts + t[:, None] * segs - r)
+    close = np.flatnonzero(clearances <= exclusion_radius)
+    if close.size:
+        i = int(close[0])
+        raise PathSingularityError(
+            f"segment {i} passes within {clearances[i]:.3e} of the field point "
+            f"(exclusion radius {exclusion_radius:.3e})",
+            segment_index=i,
+        )
 
 
 def commutator_line_integral(

@@ -15,6 +15,7 @@ them by brute-force matrix exponentiation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -374,19 +375,22 @@ def time_derivative_conjugation(
     return y + 0.5 * _checked_inner(x, y)
 
 
+# largest dense dimension the truncated-Fock oracle will build
+FOCK_DIM_CAP = 4096
+
+
 @dataclass(frozen=True)
 class FockOracleConfig:
     """Mode list and per-mode truncations for the dense Fock-space oracle.
 
     ``truncations`` may be given as a single int, applied to every mode.  The
     product of truncations is the dense matrix dimension and must stay at or
-    below ``dim_cap``; exceeding it raises OracleTooLargeError at
+    below ``FOCK_DIM_CAP``; exceeding it raises OracleTooLargeError at
     construction, before any allocation.
     """
 
     modes: tuple[int, ...]
     truncations: tuple[int, ...]
-    dim_cap: int = 4096
 
     def __post_init__(self):
         modes = tuple(int(m) for m in self.modes)
@@ -408,13 +412,10 @@ class FockOracleConfig:
             raise ValueError(f"every truncation must be >= 2, got {truncations}")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "truncations", truncations)
-        object.__setattr__(self, "dim_cap", int(self.dim_cap))
-        if self.dim_cap < 2:
-            raise ValueError(f"dim_cap must be >= 2, got {self.dim_cap}")
-        if self.dimension > self.dim_cap:
+        if self.dimension > FOCK_DIM_CAP:
             raise OracleTooLargeError(
                 f"truncated-Fock dimension {self.dimension} exceeds the cap "
-                f"{self.dim_cap}"
+                f"{FOCK_DIM_CAP}"
             )
 
     @property
@@ -422,8 +423,15 @@ class FockOracleConfig:
         return math.prod(self.truncations)
 
 
-def _local_ladder(truncation: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, truncation)), k=1)
+def _local_block(truncation: int, n_cre: int, n_ann: int) -> np.ndarray:
+    """(a^dag)^n_cre a^n_ann on one mode truncated to ``truncation`` levels."""
+    a = np.diag(np.sqrt(np.arange(1.0, truncation)), k=1)
+    # a zeroth power is the identity, so its dense product is skipped
+    if not n_ann:
+        return np.linalg.matrix_power(a.T, n_cre)
+    if not n_cre:
+        return np.linalg.matrix_power(a, n_ann)
+    return np.linalg.matrix_power(a.T, n_cre) @ np.linalg.matrix_power(a, n_ann)
 
 
 def fock_matrix(p: OperatorPolynomial, config: FockOracleConfig) -> np.ndarray:
@@ -440,43 +448,13 @@ def fock_matrix(p: OperatorPolynomial, config: FockOracleConfig) -> np.ndarray:
             f"oracle config {config.modes}"
         )
     dim = config.dimension
-    position = {mode: i for i, mode in enumerate(config.modes)}
-    lowering = [_local_ladder(t) for t in config.truncations]
-    identities = [np.eye(t) for t in config.truncations]
-
-    local_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def local_block(slot: int, n_cre: int, n_ann: int) -> np.ndarray:
-        key = (slot, n_cre, n_ann)
-        if key not in local_cache:
-            a = lowering[slot]
-            # a zeroth power is the identity, so its dense product is skipped
-            if not n_ann:
-                block = np.linalg.matrix_power(a.T, n_cre)
-            elif not n_cre:
-                block = np.linalg.matrix_power(a, n_ann)
-            else:
-                block = np.linalg.matrix_power(a.T, n_cre) @ np.linalg.matrix_power(a, n_ann)
-            local_cache[key] = block
-        return local_cache[key]
-
     out = np.zeros((dim, dim), dtype=complex)
     for (cre, ann), coeff in p.terms.items():
-        cre_counts = Counter(cre)
-        ann_counts = Counter(ann)
-        factors = []
-        for mode in config.modes:
-            slot = position[mode]
-            n_cre = cre_counts.get(mode, 0)
-            n_ann = ann_counts.get(mode, 0)
-            if n_cre or n_ann:
-                factors.append(local_block(slot, n_cre, n_ann))
-            else:
-                factors.append(identities[slot])
-        mono = factors[0]
-        for factor in factors[1:]:
-            mono = np.kron(mono, factor)
-        out += coeff * mono
+        blocks = [
+            _local_block(t, cre.count(mode), ann.count(mode))
+            for mode, t in zip(config.modes, config.truncations)
+        ]
+        out += coeff * functools.reduce(np.kron, blocks)
     return out
 
 

@@ -200,6 +200,21 @@ def test_fs_point_on_dipole(tmp_path, capsys):
     assert "coincides" in capsys.readouterr().err
 
 
+def test_fs_later_point_on_dipole_writes_nothing(tmp_path, capsys):
+    cfg = {
+        "schema_version": 1,
+        "dipoles": two_dipoles([0.0, 0.0, 0.2]),
+        "field_points": [[0.1, 0.0, 0.1], [0.0, 0.0, 0.2]],
+        "lattice": {"half_extent": 4},
+    }
+    out = tmp_path / "out.csv"
+    assert run(tmp_path, "field-shift", cfg, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "field_points[1] coincides with dipole 1" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_fs_missing_lists(tmp_path):
     assert run(tmp_path, "field-shift", {"schema_version": 1}) == 2
     cfg = {"schema_version": 1, "dipoles": two_dipoles([0, 0, 0.2])}
@@ -293,8 +308,11 @@ def test_bch_interior_exceeds_truncation(tmp_path):
 
 
 def test_bch_dim_cap_enforced(tmp_path, capsys):
+    # the Fock cap bounds truncation while parsing, so the error names the key
     assert run(tmp_path, "bch-check", bch_config(truncation=5000, interior=10)) == 2
-    assert "validation error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "truncation" in err
 
 
 def test_bch_check_decomposes_the_generator_once(tmp_path, capsys, monkeypatch):
@@ -558,6 +576,18 @@ def test_vc_default_sigma_is_rho_fraction(tmp_path, capsys):
     assert doc["records"][0]["outputs"]["sigma"] == pytest.approx(
         0.2 * DEFAULTS["sigma_fraction"]
     )
+
+
+def test_vc_default_sigma_per_separation(tmp_path, capsys):
+    # each separation gets its own default, |rho| / 6
+    separations = [[0.0, 0.0, 0.2], [0.1, -0.05, 0.08]]
+    cfg = vc_config(separations=separations)
+    del cfg["sigma"]
+    assert run(tmp_path, "verify-commutator", cfg) in (0, 1)
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [r["outputs"]["sigma"] for r in records] == [
+        pytest.approx(np.linalg.norm(sep) / 6, rel=1e-15) for sep in separations
+    ]
 
 
 def test_dipole_energy_closed_form_only(tmp_path, capsys):

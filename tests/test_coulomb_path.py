@@ -329,6 +329,36 @@ def test_exclusion_radius_is_honored():
     assert np.all(np.isfinite(value))
 
 
+def test_first_segment_within_radius_is_named():
+    # segment 0 passes at 2 from r, segments 1 and 2 at 1
+    r = np.array([0.0, 0.0, 2.0])
+    stairs = ChargePath(vertices=[[0, 0, 0], [1, 0, 0], [1, 0, 3], [0, 0, 3]], charge=1.0)
+    with pytest.raises(PathSingularityError, match="segment 1 ") as excinfo:
+        commutator_line_integral(stairs, r, exclusion_radius=1.5)
+    assert excinfo.value.segment_index == 1
+
+
+def test_clearance_equal_to_radius_is_rejected():
+    # the foot of r on segment 1 is (1, 0, 2), exactly 1 away
+    r = np.array([0.0, 0.0, 2.0])
+    path = ChargePath(vertices=[[0, 0, 0], [1, 0, 0], [1, 0, 4]], charge=1.0)
+    with pytest.raises(PathSingularityError) as excinfo:
+        commutator_line_integral(path, r, exclusion_radius=1.0)
+    assert excinfo.value.segment_index == 1
+    value = commutator_line_integral(path, r, exclusion_radius=np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(value))
+
+
+def test_zero_charge_job_checked_before_quadrature(monkeypatch):
+    calls = []
+    monkeypatch.setattr(coulomb_path, "_segment_integrals", lambda *a: calls.append(a))
+    good = straight_path(R_PROBE, endpoint_factor=50.0)
+    bad = ChargePath(vertices=[[0, 0, 0], 2.0 * R_PROBE], charge=0.0)
+    with pytest.raises(PathSingularityError):
+        commutator_line_integrals([(good, R_PROBE), (bad, R_PROBE)])
+    assert calls == []
+
+
 # --- consistency with the dipole field --------------------------------------
 
 

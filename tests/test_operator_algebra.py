@@ -241,6 +241,30 @@ def test_fock_matrix_two_mode_ordering():
     assert_allclose(got4, np.kron(np.eye(2), np.diag([0.0, 1.0, 2.0])))
 
 
+def test_fock_matrix_equals_kron_of_matrix_powers():
+    # modes listed out of order, at unequal truncations
+    cfg = FockOracleConfig(modes=(3, 1), truncations=(4, 6))
+    p = (
+        (0.5 - 2j) * ad(1) * ad(1) * a(3)
+        + 1.5 * ad(3) * a(1) * a(1)
+        - 0.25 * ad(1) * a(3)
+        + 0.75j * ad(3) * ad(3)
+        + OP.scalar(3.0)
+    )
+    assert p.degree == 3 and len(p) == 5
+
+    def block(truncation, n_cre, n_ann):
+        lower = np.diag(np.sqrt(np.arange(1.0, truncation)), k=1)
+        power = np.linalg.matrix_power
+        return power(lower.T, n_cre) @ power(lower, n_ann)
+
+    expected = np.zeros((24, 24), dtype=complex)
+    for (cre, ann), coeff in p.terms.items():
+        blocks = [block(t, cre.count(m), ann.count(m)) for m, t in zip((3, 1), (4, 6))]
+        expected += coeff * np.kron(*blocks)
+    assert np.array_equal(fock_matrix(p, cfg), expected)
+
+
 def test_oracle_zero_exponent_returns_y():
     cfg = oracle_config(10)
     y = a() + ad()
