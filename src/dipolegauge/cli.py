@@ -62,7 +62,6 @@ from .operator_algebra import (
     FockOracleConfig,
     OperatorPolynomial,
     adjoint_action,
-    commutator,
     fock_adjoint_oracle_scan,
     fock_matrix,
 )
@@ -90,7 +89,6 @@ DEFAULTS = {
     "sigma_fraction": 1.0 / 6.0,
     "endpoint_factor": 200.0,
     "charge": 1.0,
-    "quad_epsrel": 1e-9,
     "bch_xi_values": [0.1, 0.3, 1.0],
     "bch_truncation": 40,
     "bch_interior": 20,
@@ -191,20 +189,15 @@ class ResultRecord:
         }
 
 
-def _jsonify(value):
+def _json_default(value):
+    """``json.dumps`` hook for outputs with no JSON form; np.float64 is a float."""
     if isinstance(value, np.ndarray):
-        return _jsonify(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
+        return value.tolist()
     if isinstance(value, (np.complexfloating, complex)):
         return {"real": float(value.real), "imag": float(value.imag)}
-    if isinstance(value, np.floating):
-        return float(value)
     if isinstance(value, np.integer):
         return int(value)
-    return value
+    raise TypeError(f"an output of type {type(value).__name__} has no JSON form")
 
 
 def render_json(command: str, records: list[ResultRecord]) -> str:
@@ -213,7 +206,7 @@ def render_json(command: str, records: list[ResultRecord]) -> str:
         "command": command,
         "records": [r.to_dict() for r in records],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=_json_default) + "\n"
 
 
 def _fmt17(value) -> str:
@@ -382,7 +375,6 @@ _UNIT_KEYS = {k: (_positive, getattr(UnitSystem, k)) for k in ("hbar", "epsilon0
 _COMMON_KEYS = {
     "schema_version": (_one_of(SCHEMA_VERSION), REQUIRED),
     "units": (_block(_UNIT_KEYS, UnitSystem), UnitSystem()),
-    "output_format": (_one_of("json", "csv"), "json"),
     "tolerances": (_block({k: (_positive, v) for k, v in TOLERANCES.items()}), TOLERANCES),
 }
 _HALF_EXTENT = _int(1, MAX_HALF_EXTENT)
@@ -419,7 +411,6 @@ _KEYS = {
         "charge_paths": (_charge_paths, None),
         "path_pairs": (_list_of(_list_of(_int(0), 2, 2), 0), None),
         "exclusion_radius": (_positive_or_none, None),
-        "quad_epsrel": (_positive, DEFAULTS["quad_epsrel"]),
     },
     "bch-check": {
         "xi_values": (_list_of(_number), DEFAULTS["bch_xi_values"]),
@@ -671,15 +662,15 @@ def _run_field_shift(cfg: dict):
 
 
 def _coulomb_comparisons(
-    integral: np.ndarray,
-    oracle: np.ndarray,
-    minus_coulomb: np.ndarray,
-    tolerances: dict,
-) -> list[Comparison]:
+    integral: np.ndarray, path: ChargePath, point: np.ndarray, units, tolerances: dict
+) -> tuple[np.ndarray, np.ndarray, list[Comparison]]:
+    """Endpoint formula, minus the Coulomb field and rows of one job."""
+    oracle = line_integral_endpoint(path, point, units)
+    minus_coulomb = -coulomb_field(point, path.charge, units)
     scale = float(np.max(np.abs(minus_coulomb)))
     recovery = np.max(np.abs(integral - minus_coulomb))
     quad = np.max(np.abs(integral - oracle))
-    return [
+    return oracle, minus_coulomb, [
         _row("recovery_max_dev", recovery, 0.0, tolerances["coulomb_recovery_rel"], scale),
         _row("quad_vs_endpoint_formula", quad, 0.0, tolerances["path_residual"], scale),
     ]
@@ -690,10 +681,7 @@ def _run_coulomb_path(cfg: dict):
     tolerances = cfg["tolerances"]
     # path residuals are already normalized by |E_c|, so their scale is 1
     residual_tol = tolerances["path_residual"]
-    quad_kwargs = {
-        "exclusion_radius": cfg["exclusion_radius"],
-        "quad_epsrel": cfg["quad_epsrel"],
-    }
+    radius = cfg["exclusion_radius"]
     # every integral of a run goes into one batch, one per (path, point) job
     points = cfg["field_points"]
     # a point's label text, formatted once however many records name it
@@ -708,16 +696,16 @@ def _run_coulomb_path(cfg: dict):
             for point in points
         ]
         jobs = [(path, point) for pair, point in zip(pairs, points) for path in pair]
-        values = iter(commutator_line_integrals(jobs, units, **quad_kwargs))
+        values = iter(commutator_line_integrals(jobs, units, exclusion_radius=radius))
         for (straight, _), point, point_label in zip(pairs, points, point_labels):
             integral, stairs_integral = next(values), next(values)
-            oracle = line_integral_endpoint(straight, point, units)
-            minus_coulomb = -coulomb_field(point, cfg["charge"], units)
+            oracle, minus_coulomb, comparisons = _coulomb_comparisons(
+                integral, straight, point, units, tolerances
+            )
             residual = path_residual(integral, stairs_integral, point, cfg["charge"], units)
-            comparisons = [
-                *_coulomb_comparisons(integral, oracle, minus_coulomb, tolerances),
-                _row("straight_vs_staircase_residual", residual, 0.0, residual_tol),
-            ]
+            comparisons.append(
+                _row("straight_vs_staircase_residual", residual, 0.0, residual_tol)
+            )
             outputs = {
                 "point": point,
                 "endpoint_factor": cfg["endpoint_factor"],
@@ -734,11 +722,13 @@ def _run_coulomb_path(cfg: dict):
     paths = cfg["charge_paths"]
     keys = list(np.ndindex(len(paths), len(points)))
     jobs = [(paths[p], points[q]) for p, q in keys]
-    integrals = dict(zip(keys, commutator_line_integrals(jobs, units, **quad_kwargs)))
+    values = commutator_line_integrals(jobs, units, exclusion_radius=radius)
+    integrals = dict(zip(keys, values))
     for (p_idx, pt_idx), integral in integrals.items():
         path, point = paths[p_idx], points[pt_idx]
-        oracle = line_integral_endpoint(path, point, units)
-        minus_coulomb = -coulomb_field(point, path.charge, units)
+        oracle, minus_coulomb, comparisons = _coulomb_comparisons(
+            integral, path, point, units, tolerances
+        )
         outputs = {
             "path_index": p_idx,
             "point": point,
@@ -747,7 +737,6 @@ def _run_coulomb_path(cfg: dict):
             "endpoint_formula": oracle,
             "minus_coulomb_field": minus_coulomb,
         }
-        comparisons = _coulomb_comparisons(integral, oracle, minus_coulomb, tolerances)
         label = f"path={p_idx} point={point_labels[pt_idx]}"
         yield label, tuple(point), outputs, comparisons, True
     for a, b in cfg["path_pairs"]:
@@ -783,16 +772,15 @@ def _run_bch_check(cfg: dict):
         generator, position_like, oracle_cfg, cfg["xi_values"], interior
     )
     for xi, oracle_block in zip(cfg["xi_values"], blocks):
-        exponent = xi * generator
-        central = commutator(exponent, position_like)
-        closed = adjoint_action(exponent, position_like)
+        closed = adjoint_action(xi * generator, position_like)
         closed_block = fock_matrix(closed, closed_cfg)[:interior, :interior]
         deviation = np.abs(closed_block - oracle_block)
         outputs = {
             "xi": xi,
             "truncation": cfg["truncation"],
             "interior": interior,
-            "central_commutator": central.scalar_part,
+            # Y has no scalar term, so this is the scalar [xi G, Y]
+            "central_commutator": closed.scalar_part,
         }
         comparisons = [_row("interior_deviation", np.max(deviation), 0.0, tol)]
         yield f"xi={xi:g}", xi, outputs, comparisons, True
@@ -858,8 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--format",
             choices=["csv", "json"],
-            default=None,
-            help="output format (overrides the config's output_format)",
+            default="json",
+            help="output format (default: json)",
         )
     return parser
 
@@ -870,9 +858,8 @@ def main(argv=None) -> int:
     try:
         raw = _load_raw_config(args.config)
         cfg = validator(raw)
-        fmt = args.format or cfg["output_format"]
         # CSV prints no digest, so a CSV run never computes it
-        digest = _config_digest(raw) if fmt == "json" else None
+        digest = _config_digest(raw) if args.format == "json" else None
         records, keys = [], {}
         last = time.perf_counter()
         for label, key, outputs, comparisons, gates_exit in runner(cfg):
@@ -886,7 +873,7 @@ def main(argv=None) -> int:
                     command=args.command,
                     label=label,
                     input_digest=digest,
-                    outputs=_jsonify(outputs),
+                    outputs=outputs,
                     comparisons=comparisons,
                     gates_exit=gates_exit,
                     duration_seconds=now - last,
@@ -900,7 +887,7 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 
-    render = render_json if fmt == "json" else render_csv
+    render = render_json if args.format == "json" else render_csv
     text = render(args.command, records)
     if args.out:
         try:

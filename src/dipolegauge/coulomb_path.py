@@ -235,19 +235,18 @@ def _gk21(lo: np.ndarray, hi: np.ndarray, integrand) -> list:
 class _AdaptiveIntegral:
     """One integral's state in scipy.integrate's adaptive loop over [0, 1].
 
-    Subintervals sit in a heap keyed (-error, lo, hi), their GK21 values in
-    ``estimates``.  One round of that loop is ``pop``, a ``split`` of each
-    popped subinterval, then ``going_on``; it is cut up so that the
-    subintervals of many integrals can be evaluated by one ``_gk21`` call
-    between ``pop`` and the splits.
+    Subintervals sit in a heap as (-error, lo, hi, GK21 value); the first
+    three fields are unique (see ``pop``), so no value is compared.  A round
+    of that loop is ``pop``, a ``split`` of each popped subinterval, then
+    ``going_on``, cut up so that the subintervals of many integrals can be
+    evaluated by one ``_gk21`` call between ``pop`` and the splits.
     """
 
     def __init__(self, first: tuple):
         value, error, rounding = first
         self.total = value.copy()
         self.global_error, self.rounding_error = error, rounding
-        self.estimates = {(0.0, 1.0): value}
-        self.heap = [(-error, 0.0, 1.0)]
+        self.heap = [(-error, 0.0, 1.0, value)]
 
     def pop(self, epsrel: float) -> list:
         """Up to _QUAD_BATCH of the worst subintervals, as (error, lo, hi,
@@ -259,10 +258,10 @@ class _AdaptiveIntegral:
         while self.heap and len(popped) < _QUAD_BATCH:
             if popped and err_sum > self.global_error - tol / 8:
                 break
-            neg_err, lo, hi = heapq.heappop(self.heap)
+            neg_err, lo, hi, value = heapq.heappop(self.heap)
             # keys are unique while midpoints fall strictly inside their
             # intervals; the rounding-error stop comes long before that fails
-            popped.append((-neg_err, lo, hi, self.estimates.pop((lo, hi))))
+            popped.append((-neg_err, lo, hi, value))
             err_sum += -neg_err
         return popped
 
@@ -275,10 +274,8 @@ class _AdaptiveIntegral:
         self.total += left_value + right_value - old
         self.global_error += left_err + right_err - old_err
         self.rounding_error += left_rnd + right_rnd
-        self.estimates[(a, c)] = left_value
-        self.estimates[(c, b)] = right_value
-        heapq.heappush(self.heap, (-left_err, a, c))
-        heapq.heappush(self.heap, (-right_err, c, b))
+        heapq.heappush(self.heap, (-left_err, a, c, left_value))
+        heapq.heappush(self.heap, (-right_err, c, b, right_value))
 
     def going_on(self, epsrel: float) -> bool:
         """Whether the loop goes on after a round's splits: it stops when the

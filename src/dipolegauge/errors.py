@@ -23,7 +23,7 @@ class BchOrderViolationError(ValueError):
 
 
 class OracleTooLargeError(ValueError):
-    """A truncated-Fock matrix would exceed the configured dimension cap."""
+    """A truncated-Fock matrix would exceed operator_algebra.FOCK_DIM_CAP."""
 
 
 class PathSingularityError(ValueError):

@@ -492,9 +492,10 @@ def fock_adjoint_oracle_scan(
     occupations = np.indices(shape).reshape(len(shape), -1).sum(axis=0)
     exp_rows = _exp_anti_hermitian(fock_matrix(generator, config), occupations)
     ym = fock_matrix(y, config)
+    real_y = not np.any(ym.imag)
 
     def conjugate(u):
-        if np.isrealobj(u) and not np.any(ym.imag):
+        if real_y and np.isrealobj(u):
             return (u @ ym.real @ u.T).astype(complex)
         return u @ ym @ u.conj().T
 

@@ -18,8 +18,10 @@ from dipolegauge.cli import (
     SCHEMA_VERSION,
     TOLERANCES,
     Comparison,
+    ResultRecord,
     main,
     render_csv,
+    render_json,
 )
 
 
@@ -129,10 +131,6 @@ def test_bad_units(tmp_path):
 
 def test_unknown_tolerance_rejected(tmp_path):
     assert run(tmp_path, "bch-check", bch_config(tolerances={"nope": 0.1})) == 2
-
-
-def test_bad_output_format_value(tmp_path):
-    assert run(tmp_path, "bch-check", bch_config(output_format="xml")) == 2
 
 
 def test_vc_missing_separations(tmp_path):
@@ -426,12 +424,14 @@ def test_repeated_inputs_print_identical_rows(tmp_path, capsys, command, cfg):
          ["charge_paths[0].vertices"]),
         ("coulomb-path", cp_config(path_pairs=[[0]]), ["path_pairs[0]"]),
         ("coulomb-path", cp_config(path_pairs=[5]), ["path_pairs[0]"]),
-        ("coulomb-path", cp_config(quad_epsrel=0.0), ["quad_epsrel"]),
+        ("coulomb-path", cp_config(quad_epsrel=0.0), ["unknown key(s)", "quad_epsrel"]),
         ("coulomb-path", cp_config(exclusion_radius=0.0), ["exclusion_radius"]),
         ("coulomb-path", cp_config(exclusion_radius=-1.0), ["exclusion_radius"]),
         ("bch-check", bch_config(dim_cap=2.5), ["dim_cap"]),
         ("coulomb-path", cp_config(field_points=[]), ["field_points"]),
         ("field-shift", de_config(field_points=[]), ["field_points"]),
+        # --format alone chooses the output
+        ("bch-check", bch_config(output_format="csv"), ["unknown key(s)", "output_format"]),
     ],
 )
 def test_malformed_config_names_key_path(tmp_path, capsys, command, cfg, needles):
@@ -829,16 +829,103 @@ def test_bch_check_outputs(tmp_path, capsys):
     assert comp["computed"] < TOLERANCES["bch_interior_abs"]
 
 
+def test_bch_central_commutator_is_the_commutator_scalar(tmp_path, capsys):
+    # the runner prints the scalar of Y + [xi G, Y]; Y has none, so it must
+    # be [xi G, Y]'s to the bit, the sign of a zero part included
+    from dipolegauge.operator_algebra import OperatorPolynomial, commutator
+
+    xis = [0.0, -0.5, 0.3, 1.0]
+    cfg = bch_config(xi_values=xis, truncation=40, interior=20)
+    assert run(tmp_path, "bch-check", cfg) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    lower = OperatorPolynomial.annihilation(0)
+    raise_ = OperatorPolynomial.creation(0)
+    for xi, record in zip(xis, records, strict=True):
+        want = commutator(xi * (raise_ - lower), lower + raise_).scalar_part
+        got = record["outputs"]["central_commutator"]
+        assert float(got["real"]).hex() == want.real.hex(), xi
+        assert float(got["imag"]).hex() == want.imag.hex(), xi
+
+
 # --- output formats and plumbing --------------------------------------------
 
 
-def test_format_flag_overrides_config(tmp_path, capsys):
-    cfg = bch_config(output_format="csv")
-    assert run(tmp_path, "bch-check", cfg) == 0
-    assert capsys.readouterr().out.startswith("command,record,comparison,")
-    assert run(tmp_path, "bch-check", cfg, "--format", "json") == 0
+def test_format_flag_chooses_output(tmp_path, capsys):
+    assert run(tmp_path, "bch-check", bch_config()) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["command"] == "bch-check"
+    assert run(tmp_path, "bch-check", bch_config(), "--format", "csv") == 0
+    assert capsys.readouterr().out.startswith("command,record,comparison,")
+
+
+_RENDERED = """\
+{
+  "schema_version": 1,
+  "command": "bch-check",
+  "records": [
+    {
+      "command": "bch-check",
+      "label": "x",
+      "input_digest": null,
+      "outputs": {
+        "floats": [
+          0.1,
+          -2.5e-17
+        ],
+        "complexes": [
+          {
+            "real": 1.0,
+            "imag": 2.0
+          },
+          {
+            "real": -0.0,
+            "imag": -0.5
+          }
+        ],
+        "scalar": {
+          "real": -0.6,
+          "imag": -0.0
+        },
+        "count": 3,
+        "pair": [
+          1.5,
+          2
+        ],
+        "nested": {
+          "grid": [
+            [
+              1,
+              2
+            ]
+          ],
+          "flag": true,
+          "none": null
+        }
+      },
+      "comparisons": [],
+      "passed": true,
+      "gates_exit": true,
+      "duration_seconds": 0.5
+    }
+  ]
+}
+"""
+
+
+def test_render_json_encodes_numpy_and_complex_outputs():
+    outputs = {
+        "floats": np.array([0.1, -2.5e-17]),
+        "complexes": np.array([1 + 2j, -0.5j]),
+        "scalar": np.complex128(complex(-0.6, -0.0)),
+        "count": np.int64(3),
+        "pair": (np.float64(1.5), 2),
+        "nested": {"grid": np.array([[1, 2]]), "flag": True, "none": None},
+    }
+    record = ResultRecord("bch-check", "x", None, outputs, duration_seconds=0.5)
+    assert render_json("bch-check", [record]) == _RENDERED
+    record.outputs = {"members": {1, 2}}
+    with pytest.raises(TypeError, match="set"):
+        render_json("bch-check", [record])
 
 
 def test_csv_shape_and_numbers(tmp_path, capsys):
@@ -899,7 +986,6 @@ def test_csv_run_never_hashes_the_config(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(hashlib, "sha256", forbidden)
     assert run(tmp_path, "bch-check", bch_config(), "--format", "csv") == 0
     assert capsys.readouterr().out.startswith("command,record,comparison,")
-    assert run(tmp_path, "bch-check", bch_config(output_format="csv")) == 0
     with pytest.raises(AssertionError, match="config hashed"):
         run(tmp_path, "bch-check", bch_config(), "--format", "json")
 
@@ -1040,6 +1126,19 @@ def test_csv_matches_golden(tmp_path, case):
 # A-E tensor carries hbar / eps0, energies and fields 1 / eps0; the path
 # residuals are normalized by |E_c| and bch-check has no units
 SCALED_UNITS = {"hbar": 3.7, "epsilon0": 0.013, "c": 11.0}
+def test_csv_run_never_encodes_json(tmp_path, monkeypatch):
+    # outputs are encoded only while JSON is printed, and CSV prints none
+    def forbidden(value):
+        raise AssertionError("JSON-encoded")
+
+    monkeypatch.setattr(cli, "_json_default", forbidden)
+    for case in GOLDEN:
+        code = run(tmp_path, case["command"], case["config"], "--format", "csv")
+        assert code == case["exit_code"], case["command"]
+    with pytest.raises(AssertionError, match="JSON-encoded"):
+        run(tmp_path, GOLDEN[0]["command"], GOLDEN[0]["config"])
+
+
 ROW_SCALE_FACTOR = {
     "entry": 3.7 / 0.013,
     "pair_route": 1.0 / 0.013,
