@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -459,16 +460,45 @@ def _check_field_shift(cfg: dict) -> None:
         cfg["sigma"] = _default_sigma(cfg["sigma"], gaps, cfg["lattice"]["box_length"])
 
 
+def _cube_overflows(vertex: list, point: list) -> bool:
+    """Whether |vertex - point|^3, as the Coulomb kernels take it, leaves the float range."""
+    try:
+        return not math.isfinite(math.hypot(*(v - p for v, p in zip(vertex, point))) ** 3)
+    except OverflowError:
+        return True
+
+
 def _check_coulomb_path(cfg: dict) -> None:
-    """Also resolves ``path_pairs`` to the explicit list, all pairs by default."""
-    for i, point in enumerate(cfg["field_points"]):
+    """Also resolves ``path_pairs`` to the explicit list, all pairs by default.
+
+    Every distance from a field point that the route cubes must stay finite:
+    the largest is at a path vertex, the origin included.  A reference path's
+    farthest vertex is its far endpoint -endpoint_factor * r.
+    """
+    paths, pairs = cfg["charge_paths"], cfg["path_pairs"]
+    points = [point.tolist() for point in cfg["field_points"]]
+    for i, point in enumerate(points):
+        far = [0.0] * 3 if paths is not None else [-cfg["endpoint_factor"] * x for x in point]
+        if _cube_overflows(far, point):
+            raise ConfigError(
+                f"field_points[{i}]: the cube of its distance to the path "
+                "overflows the float range"
+            )
         if float(np.linalg.norm(point)) == 0.0:
             raise ConfigError(f"field_points[{i}] must not be the origin")
-    paths, pairs = cfg["charge_paths"], cfg["path_pairs"]
     if paths is None:
         if pairs is not None:
             raise ConfigError("path_pairs requires an explicit charge_paths list")
         return
+    for p, path in enumerate(paths):
+        for k, vertex in enumerate(path.vertices.tolist()):
+            for i, point in enumerate(points):
+                if _cube_overflows(vertex, point):
+                    raise ConfigError(
+                        f"charge_paths[{p}].vertices[{k}] is too far from "
+                        f"field_points[{i}]: the cube of their distance "
+                        "overflows the float range"
+                    )
     if pairs is None:
         pairs = [[a, b] for a in range(len(paths)) for b in range(a + 1, len(paths))]
     for i, (a, b) in enumerate(pairs):
@@ -483,9 +513,16 @@ def _check_coulomb_path(cfg: dict) -> None:
 
 
 def _check_bch_check(cfg: dict) -> None:
-    if cfg["interior"] > cfg["truncation"]:
-        interior, truncation = cfg["interior"], cfg["truncation"]
+    interior, truncation = cfg["interior"], cfg["truncation"]
+    if interior > truncation:
         raise ConfigError(f"interior block {interior} exceeds truncation {truncation}")
+    # the generator's spectrum lies within 2 sqrt(truncation), and xi scales it
+    for i, xi in enumerate(cfg["xi_values"]):
+        if not math.isfinite(abs(xi) * 2.0 * math.sqrt(truncation)):
+            raise ConfigError(
+                f"xi_values[{i}] = {xi!r} overflows: |xi| * 2 sqrt(truncation) "
+                "must be a finite float"
+            )
 
 
 def _validator(command: str, check=None):

@@ -15,7 +15,6 @@ them by brute-force matrix exponentiation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -423,23 +422,38 @@ class FockOracleConfig:
         return math.prod(self.truncations)
 
 
-def _local_block(truncation: int, n_cre: int, n_ann: int) -> np.ndarray:
-    """(a^dag)^n_cre a^n_ann on one mode truncated to ``truncation`` levels."""
-    a = np.diag(np.sqrt(np.arange(1.0, truncation)), k=1)
-    # a zeroth power is the identity, so its dense product is skipped
-    if not n_ann:
-        return np.linalg.matrix_power(a.T, n_cre)
-    if not n_cre:
-        return np.linalg.matrix_power(a, n_ann)
-    return np.linalg.matrix_power(a.T, n_cre) @ np.linalg.matrix_power(a, n_ann)
+def _lowering_power(truncation: int, power: int, transposed: bool = False) -> np.ndarray:
+    """Weights w of a^power on one mode, a^power |k> = w[k] |k - power>, with
+    the bits of np.linalg.matrix_power(a, power) (of matrix_power(a^dag,
+    power)^T when ``transposed``): its products in its order, as a matmul of
+    one-entry-per-column matrices rounds each entry's one product once."""
+
+    def times(x, y):  # a^p a^q from (w_p, p) and (w_q, q)
+        x, y = (y, x) if transposed else (x, y)
+        return np.concatenate((np.zeros(y[1]), x[0]))[:truncation] * y[0], x[1] + y[1]
+
+    z = (np.sqrt(np.arange(float(truncation))), 1)
+    if power == 3:
+        return times(times(z, z), z)[0]
+    result = (np.ones(truncation), 0)  # multiplying by it is exact
+    while power:
+        power, bit = divmod(power, 2)
+        if bit:
+            result = times(result, z)
+        z = times(z, z)
+    return result[0]
 
 
 def fock_matrix(p: OperatorPolynomial, config: FockOracleConfig) -> np.ndarray:
     """Dense matrix of P on the truncated multi-mode Fock space.
 
-    Each monomial is built as a Kronecker product over ``config.modes`` (in
-    their listed order) of local (a^dag)^m a^n blocks.  P must touch only
-    modes present in the config.
+    A monomial, a product over ``config.modes`` (in their listed order) of
+    (a^dag)^c a^n, sends each basis state to at most one other, so it is added
+    entry by entry: per mode |k> goes to |k - n + c> with weight
+    w_c[k - n + c] w_n[k] (``_lowering_power``), and the modes' weights
+    multiply in np.kron's order.  So every entry has the bits of the
+    Kronecker product of dense matrix_power blocks, and nothing dense is
+    allocated but the output.  P must touch only modes present in the config.
     """
     missing = set(p.modes()) - set(config.modes)
     if missing:
@@ -450,11 +464,17 @@ def fock_matrix(p: OperatorPolynomial, config: FockOracleConfig) -> np.ndarray:
     dim = config.dimension
     out = np.zeros((dim, dim), dtype=complex)
     for (cre, ann), coeff in p.terms.items():
-        blocks = [
-            _local_block(t, cre.count(mode), ann.count(mode))
-            for mode, t in zip(config.modes, config.truncations)
-        ]
-        out += coeff * functools.reduce(np.kron, blocks)
+        rows, weights = np.zeros(1, dtype=np.intp), np.ones(1)
+        for mode, t in zip(config.modes, config.truncations):
+            c, n = cre.count(mode), ann.count(mode)
+            target = np.arange(t) - n + c
+            # off the truncation a weight is 0: w_n[k] below n, the appended 0 above
+            raised = np.append(_lowering_power(t, c, transposed=True), 0.0)
+            local = raised.take(target, mode="clip") * _lowering_power(t, n)
+            rows = np.add.outer(rows * t, target).ravel()
+            weights = np.multiply.outer(weights, local).ravel()
+        cols = np.flatnonzero(weights)
+        out[rows[cols], cols] += coeff * weights[cols]
     return out
 
 
@@ -479,10 +499,11 @@ def fock_adjoint_oracle_scan(
 
     G must be anti-Hermitian in its coefficient pattern, so that e^(-sG) is the
     conjugate transpose of U = e^(sG) and the conjugation stays unitary.  G is
-    diagonalised once (``_exp_anti_hermitian``, given each basis state's total
-    occupation).  Per scale the result is the dense complex U_I Y U_I^dag, U_I
-    the first ``interior`` rows of U (all when None); when U and Y are both
-    real it is formed as the real product U_I Y U_I^T.
+    decomposed once (``_exp_anti_hermitian``, given each basis state's total
+    occupation), and its matrix is freed before Y's is built.  Per scale the
+    result is the dense complex U_I Y U_I^dag, U_I the first ``interior`` rows
+    of U (all when None); when U and Y are both real it is formed as the real
+    product U_I Y U_I^T.
     """
     if not generator.is_anti_hermitian():
         raise ValueError(
@@ -505,36 +526,40 @@ def fock_adjoint_oracle_scan(
 def _exp_anti_hermitian(xm: np.ndarray, occupations=None):
     """``rows(s, count=None)``: first ``count`` rows (all when None) of e^(sX).
 
-    One eigendecomposition of the dense anti-Hermitian X serves every s, and
-    e^(sX) is unitary by construction; below s = 1, and s scales every w.
-    H = -iX is Hermitian: with H = V diag(w) V^dag, e^X = V diag(e^(iw)) V^dag.
-    ``eigh`` reads one triangle only, so H is first taken as (H + H^dag) / 2:
-    a rounding-level anti-Hermitian defect of X enters through its mean rather
-    than being dropped unseen, and an exactly anti-Hermitian X is unchanged.
-
+    One decomposition of the anti-Hermitian part (X - X^dag) / 2 serves every
+    s, and e^(sX) is unitary by construction.  A rounding-level defect of X
+    thus enters through its mean, and an exactly anti-Hermitian X is unchanged.
     Real route: when X is exactly real and couples only basis states whose
     ``occupations`` n (the basis index by default) differ by an odd number,
-    e^X is real orthogonal and is formed in real arithmetic.  With the phases
-    D = diag(i^n), S = D^* H D is real symmetric, S = V diag(w) V^T, and
-    e^X = D (C + i Sn) D^* with C = V cos(w) V^T and Sn = V sin(w) V^T.  S
-    flips the parity of n, so C couples equal and Sn opposite parities only,
-    and entry (m, k) of e^X is C, -Sn, -C or Sn for n_m - n_k = 0, 1, 2 or 3
-    mod 4.  The test of X is what makes the route exact, for any integer
-    labels n.  Otherwise the rows are those of the complex e^X above.
+    the part is [[0, B], [-B^T, 0]] with the states grouped by the parity of
+    n.  One SVD B = U diag(sigma) W^T of half the size, U and W square (the
+    |n_even - n_odd| unmatched directions take sigma = 0), gives the real
+    e^X = [[U cos U^T, U sin W^T], [-W sin U^T, W cos W^T]] of sigma.
+    Otherwise ``eigh`` of the Hermitian part of -iX = V diag(w) V^dag gives
+    e^X = V diag(e^(iw)) V^dag.
     """
     n = np.arange(len(xm)) if occupations is None else np.asarray(occupations)
-    n = (n % 4).astype(np.int8)
-    diff = (n[:, None] - n[None, :]) % 4
-    if not np.any(xm.imag) and not np.any(xm[diff % 2 == 0]):
-        # S[m, k] = -i i^(n_k - n_m) X[m, k]: -X where diff is 1, X where 3
-        x = xm.real
-        s = np.where(diff == 3, x, -x)
-        w, v = np.linalg.eigh(0.5 * (s + s.T))
+    parity = n % 2 == 1
+    even, odd = np.flatnonzero(~parity), np.flatnonzero(parity)
+    x = xm.real
+    same_parity = np.any(x[np.ix_(even, even)]) or np.any(x[np.ix_(odd, odd)])
+    if not (np.any(xm.imag) or same_parity):
+        b = 0.5 * (x[np.ix_(even, odd)] - x[np.ix_(odd, even)].T)
+        del x, xm  # a caller that passes X's matrix as a temporary frees it here
+        u, sigma, wt = np.linalg.svd(b)
+        r, angles_u, angles_w = len(sigma), np.zeros(len(even)), np.zeros(len(odd))
+        angles_u[:r] = angles_w[:r] = sigma
 
         def real_rows(scale, count=None):
-            c = (v[:count] * np.cos(scale * w)) @ v.T
-            sn = (v[:count] * np.sin(scale * w)) @ v.T
-            return np.choose(diff[:count], [c, -sn, -c, sn])
+            ue = u[: np.count_nonzero(~parity[:count])]
+            wo = wt.T[: np.count_nonzero(parity[:count])]
+            sin = np.sin(scale * sigma)
+            out = np.empty((len(ue) + len(wo), len(n)))
+            out[np.ix_(even[: len(ue)], even)] = (ue * np.cos(scale * angles_u)) @ u.T
+            out[np.ix_(even[: len(ue)], odd)] = (ue[:, :r] * sin) @ wt[:r]
+            out[np.ix_(odd[: len(wo)], odd)] = (wo * np.cos(scale * angles_w)) @ wt
+            out[np.ix_(odd[: len(wo)], even)] = -(wo[:, :r] * sin) @ u[:, :r].T
+            return out
 
         return real_rows
     h = -1j * xm

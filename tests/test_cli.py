@@ -313,21 +313,70 @@ def test_bch_dim_cap_enforced(tmp_path, capsys):
     assert "truncation" in err
 
 
+def test_bch_xi_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    # |xi| * 2 sqrt(truncation) bounds the scaled spectrum: where it
+    # overflows, the run would print nan, so the key is named instead
+    cfg = bch_config(xi_values=[0.3, 1e308])
+    assert run(tmp_path, "bch-check", cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "xi_values[1]" in err
+
+
+def test_bch_huge_finite_xi_still_runs(tmp_path, capsys):
+    # a finite scaled spectrum runs; the truncation, not the float range,
+    # makes the row fail
+    cfg = bch_config(xi_values=[1e200])
+    assert run(tmp_path, "bch-check", cfg, "--format", "csv") == 1
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row["passed"] == "false"
+    assert math.isfinite(float(row["computed"]))
+
+
+@pytest.mark.parametrize("height", [1e150, 1e200])
+def test_cp_field_point_beyond_the_float_range_is_a_config_error(
+    tmp_path, capsys, height
+):
+    # the reference paths run out to -200 r, and the kernel cubes that
+    # distance: at 1e150 the cube overflowed with a traceback, at 1e200 the
+    # squared norm did and the residual printed nan
+    cfg = {"schema_version": 1, "field_points": [[0, 0, 1.0], [0, 0, height]]}
+    assert run(tmp_path, "coulomb-path", cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "field_points[1]" in err
+
+
+def test_cp_vertex_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    far = {"vertices": [[0, 0, 0], [0, 1e150, 0]]}
+    cfg = cp_config(charge_paths=[cp_config()["charge_paths"][0], far])
+    assert run(tmp_path, "coulomb-path", cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "charge_paths[1].vertices[1]" in err
+    assert "field_points[0]" in err
+
+
 def test_bch_check_decomposes_the_generator_once(tmp_path, capsys, monkeypatch):
-    # every xi is a scale of one generator, so one eigh serves the whole run
+    # every xi is a scale of one generator, so one decomposition serves the
+    # whole run: a real parity-flipping generator takes the SVD of its
+    # (even, odd) block, half the size of the Fock space, and no eigh
     calls = []
-    eigh = np.linalg.eigh
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigh(*args, **kwargs)
+    def counting(name, decompose):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args[0].shape))
+            return decompose(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        return wrapped
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     cfg = bch_config(xi_values=[0.229, 0.46, 0.947], truncation=400, interior=20)
     assert run(tmp_path, "bch-check", cfg, "--format", "csv") == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 3 and all(row.endswith(",true") for row in rows)
-    assert calls == [(400, 400)]
+    assert calls == [("svd", (200, 200))]
 
 
 @pytest.mark.parametrize("interior, truncation", [(1, 20), (20, 20), (2, 2)])

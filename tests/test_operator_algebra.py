@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,6 +349,87 @@ def test_spectral_exponential_reads_both_triangles():
     xm[2, 5] += 1e-3 - 2e-3j
     u = _exp_anti_hermitian(xm)(1.0)
     assert np.max(np.abs(u - expm(0.5 * (xm - xm.conj().T)))) <= 1e-13
+
+
+def _real_two_mode_generator():
+    # real displacements of both modes and a cubic term: every monomial moves
+    # the total occupation by an odd number, so the real route applies
+    return (
+        0.4 * (ad(0) - a(0))
+        - 0.3 * (ad(1) - a(1))
+        + 0.05 * (ad(0) * ad(1) * ad(1) - a(0) * a(1) * a(1))
+    )
+
+
+def _occupations(cfg):
+    shape = cfg.truncations
+    return np.indices(shape).reshape(len(shape), -1).sum(axis=0)
+
+
+@pytest.mark.parametrize(
+    "x, cfg",
+    [
+        (0.7 * (ad() - a()), oracle_config(41)),
+        (_real_two_mode_generator(), FockOracleConfig(modes=(0, 1), truncations=(5, 8))),
+    ],
+    ids=["odd-truncation", "two-mode"],
+)
+def test_real_route_matches_expm_and_is_unitary(x, cfg):
+    # at truncation 41 the (even, odd) block is 21 x 20, so one direction is
+    # unmatched; at (5, 8) the basis index's parity is not the occupation's,
+    # so the route needs the occupations the scan passes
+    from scipy.linalg import expm
+
+    xm = fock_matrix(x, cfg)
+    u = _exp_anti_hermitian(xm, _occupations(cfg))(1.0)
+    assert np.isrealobj(u)
+    assert np.max(np.abs(u - expm(xm))) <= 1e-12
+    assert np.max(np.abs(u @ u.T - np.eye(cfg.dimension))) <= 1e-13
+    y = a(cfg.modes[-1]) + ad(cfg.modes[-1])
+    expected = u @ fock_matrix(y, cfg).real @ u.T
+    assert_allclose(fock_adjoint_oracle(x, y, cfg), expected, rtol=0, atol=1e-14)
+
+
+def test_real_route_reads_both_triangles():
+    # the real twin of the test above: a real defect in one triangle keeps X
+    # real and parity-flipping, and enters through the mean of the blocks
+    from scipy.linalg import expm
+
+    xm = fock_matrix(0.4 * (ad() - a()), oracle_config(12))
+    xm[2, 5] += 1e-3
+    u = _exp_anti_hermitian(xm)(1.0)
+    assert np.isrealobj(u)
+    assert np.max(np.abs(u - expm(0.5 * (xm - xm.T)))) <= 1e-13
+
+
+def _traced_peak(build):
+    """Peak bytes that tracemalloc sees while ``build()`` runs, and its result."""
+    build()  # first calls may cache; only the steady state is measured
+    tracemalloc.start()
+    try:
+        out = build()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_fock_matrix_allocates_nothing_dense_but_its_output():
+    # a monomial has at most one entry per column, so the dense local
+    # blocks, their powers, Kronecker products and the complex coeff * block
+    # of a dense build (2.55 times the output) are never formed
+    peak, out = _traced_peak(lambda: fock_matrix(ad() - a(), oracle_config(400)))
+    assert peak <= 1.1 * out.nbytes
+
+
+def test_oracle_scan_peak_memory():
+    # G's matrix is freed before Y's is built, and the decomposition holds
+    # only half-size blocks: at most 2.25 complex T x T matrices (the eigh of
+    # the full phased matrix, with its masks and copies, peaked at 3.12)
+    cfg = oracle_config(400)
+    peak, _ = _traced_peak(
+        lambda: fock_adjoint_oracle_scan(ad() - a(), a() + ad(), cfg, [0.229, 0.46, 0.947], 20)
+    )
+    assert peak <= 2.25 * cfg.dimension**2 * np.dtype(complex).itemsize
 
 
 def _complex_generator():
