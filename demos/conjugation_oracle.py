@@ -10,8 +10,13 @@ and the corresponding flow-averaged identity carries half that weight:
 
 Both identities are exact statements of the operator algebra.  This script
 verifies the first one numerically against dense matrix exponentials on a
-truncated Fock space, all from one eigendecomposition of the generator, and
-prints the half-weight contrast of the second.
+truncated Fock space, all from one decomposition of the generator, and
+prints the half-weight contrast of the second.  The generator a^dag - a is
+real and changes the occupation by one, so its matrix is bipartite between
+even and odd occupations, and that decomposition is one SVD of its
+(even, odd) block, half the size of the Fock space.  Its Fock matrix is
+written entry by entry: a monomial (a^dag)^c a^n has at most one entry per
+column.
 """
 
 import numpy as np
@@ -39,7 +44,7 @@ def main():
           f"(indices < {interior})")
     print()
     print(f"{'xi':>6} {'[X, Y]':>10} {'interior deviation':>20}")
-    # X = xi G for the one generator G: a single eigendecomposition of G gives
+    # X = xi G for the one generator G: a single decomposition of G gives
     # the interior block of e^X Y e^(-X) for every xi
     generator = raise_ - lower
     xis = (0.1, 0.3, 1.0)

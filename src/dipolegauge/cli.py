@@ -461,7 +461,7 @@ def _check_field_shift(cfg: dict) -> None:
 
 
 def _cube_overflows(vertex: list, point: list) -> bool:
-    """Whether |vertex - point|^3, as the Coulomb kernels take it, leaves the float range."""
+    """Whether |vertex - point|^3, as the Coulomb kernels form it, overflows."""
     try:
         return not math.isfinite(math.hypot(*(v - p for v, p in zip(vertex, point))) ** 3)
     except OverflowError:
@@ -804,7 +804,7 @@ def _run_bch_check(cfg: dict):
     # truncation, so the closed route is built only as large as the interior
     # (a truncation is at least 2)
     closed_cfg = FockOracleConfig(modes=(0,), truncations=(max(interior, 2),))
-    # one eigendecomposition of the generator serves every xi
+    # one decomposition of the generator serves every xi
     blocks = fock_adjoint_oracle_scan(
         generator, position_like, oracle_cfg, cfg["xi_values"], interior
     )

@@ -267,6 +267,19 @@ def test_fock_matrix_equals_kron_of_matrix_powers():
     assert np.array_equal(fock_matrix(p, cfg), expected)
 
 
+def test_fock_matrix_follows_matrix_power_at_every_power():
+    # the weights follow matrix_power's products: a left fold up to power 3,
+    # binary powering above it, mirrored for the creators; past the
+    # truncation every weight is 0
+    power = np.linalg.matrix_power
+    lower = np.diag(np.sqrt(np.arange(1.0, 6)), k=1)
+    for cre in range(8):
+        for ann in range(8):
+            got = fock_matrix(OP({((0,) * cre, (0,) * ann): 1.0}), oracle_config(6))
+            expected = power(lower.T, cre) @ power(lower, ann)
+            assert np.array_equal(got, expected), (cre, ann)
+
+
 def test_oracle_zero_exponent_returns_y():
     cfg = oracle_config(10)
     y = a() + ad()
@@ -426,8 +439,9 @@ def test_oracle_scan_peak_memory():
     # only half-size blocks: at most 2.25 complex T x T matrices (the eigh of
     # the full phased matrix, with its masks and copies, peaked at 3.12)
     cfg = oracle_config(400)
+    scales = [0.229, 0.46, 0.947]
     peak, _ = _traced_peak(
-        lambda: fock_adjoint_oracle_scan(ad() - a(), a() + ad(), cfg, [0.229, 0.46, 0.947], 20)
+        lambda: fock_adjoint_oracle_scan(ad() - a(), a() + ad(), cfg, scales, 20)
     )
     assert peak <= 2.25 * cfg.dimension**2 * np.dtype(complex).itemsize
 
