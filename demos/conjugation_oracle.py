@@ -9,14 +9,12 @@ and the corresponding flow-averaged identity carries half that weight:
     (d/dt averaged over the switch) -> Y + (1/2) [X, Y].
 
 Both identities are exact statements of the operator algebra.  This script
-verifies the first one numerically against dense matrix exponentials on a
-truncated Fock space, all from one decomposition of the generator, and
-prints the half-weight contrast of the second.  The generator a^dag - a is
-real and changes the occupation by one, so its matrix is bipartite between
-even and odd occupations, and that decomposition is one SVD of its
-(even, odd) block, half the size of the Fock space.  Its Fock matrix is
-written entry by entry: a monomial (a^dag)^c a^n has at most one entry per
-column.
+verifies the first one numerically on a truncated Fock space and prints the
+half-weight contrast of the second.  The oracle never forms a dense matrix:
+each operator is kept as the diagonals of its Fock matrix (a monomial
+(a^dag)^c a^n fills one diagonal), and the interior columns of e^(-xi G)
+are carried from one xi to the next by truncated Taylor steps, so one pass
+through the sorted xi values serves them all.
 """
 
 import numpy as np
@@ -44,8 +42,8 @@ def main():
           f"(indices < {interior})")
     print()
     print(f"{'xi':>6} {'[X, Y]':>10} {'interior deviation':>20}")
-    # X = xi G for the one generator G: a single decomposition of G gives
-    # the interior block of e^X Y e^(-X) for every xi
+    # X = xi G for the one generator G: one pass of the Taylor action
+    # through the sorted xi gives the interior block of e^X Y e^(-X) for each
     generator = raise_ - lower
     xis = (0.1, 0.3, 1.0)
     blocks = fock_adjoint_oracle_scan(generator, y, cfg, xis, interior)

@@ -9,8 +9,9 @@ zeros are dropped during canonicalization, so no absolute threshold makes the
 result depend on the scale of the coefficients.
 
 Two closed-form conjugation identities are provided for generator pairs whose
-commutator is central, together with a dense truncated-Fock oracle that checks
-them by brute-force matrix exponentiation.
+commutator is central, with a truncated-Fock oracle that checks them by numerical
+exponentiation: it keeps each operator as the diagonals of its Fock matrix and
+carries interior columns of e^(-sG) by Taylor steps, forming no dense matrix.
 """
 
 from __future__ import annotations
@@ -126,9 +127,9 @@ class OperatorPolynomial:
     operators plus :meth:`dagger`.
 
     Operator products expand every term pair, so they are meant for
-    small-algebra checks, ``bch-check`` and the Fock oracle; the lattice-sized
-    pair energies and field shifts of :mod:`dipolegauge.gauge_dipole` contract
-    the c-number A-E kernel instead.
+    small-algebra checks and ``bch-check``; the lattice-sized pair energies
+    and field shifts of :mod:`dipolegauge.gauge_dipole` contract the c-number
+    A-E kernel instead.
     """
 
     __slots__ = ("_terms",)
@@ -297,8 +298,7 @@ def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomi
     never expanded.  The other pairs contribute only their contracted terms:
     the uncontracted term is the same monomial with weight 1 in PQ and in QP,
     so it cancels.  For two degree-1 polynomials over n channels this costs
-    O(n) rather than O(n^2), for small-algebra checks, ``bch-check`` and the
-    Fock oracle; lattice-sized field shifts contract the A-E kernel in gauge_dipole.
+    O(n) rather than O(n^2); lattice-sized field shifts contract the A-E kernel.
     """
     if p.is_zero or q.is_zero:
         return OperatorPolynomial.zero()
@@ -374,19 +374,14 @@ def time_derivative_conjugation(
     return y + 0.5 * _checked_inner(x, y)
 
 
-# largest dense dimension the truncated-Fock oracle will build
-FOCK_DIM_CAP = 4096
+# largest truncated-Fock dimension, and largest |s| ||G|| the oracle propagates
+FOCK_DIM_CAP, FOCK_ACTION_CAP = 4096, 8192.0
 
 
 @dataclass(frozen=True)
 class FockOracleConfig:
-    """Mode list and per-mode truncations for the dense Fock-space oracle.
-
-    ``truncations`` may be given as a single int, applied to every mode.  The
-    product of truncations is the dense matrix dimension and must stay at or
-    below ``FOCK_DIM_CAP``; exceeding it raises OracleTooLargeError at
-    construction, before any allocation.
-    """
+    """Modes and per-mode truncations (one int for all) of the truncated-Fock
+    oracle; a dimension above ``FOCK_DIM_CAP`` raises OracleTooLargeError."""
 
     modes: tuple[int, ...]
     truncations: tuple[int, ...]
@@ -399,22 +394,18 @@ class FockOracleConfig:
             raise ValueError(f"mode indices must be >= 0, got {modes}")
         if len(set(modes)) != len(modes):
             raise ValueError(f"duplicate mode indices: {modes}")
-        if isinstance(self.truncations, (int, np.integer)):
-            truncations = (int(self.truncations),) * len(modes)
-        else:
-            truncations = tuple(int(t) for t in self.truncations)
+        single = isinstance(self.truncations, (int, np.integer))
+        given = [self.truncations] * len(modes) if single else self.truncations
+        truncations = tuple(int(t) for t in given)
         if len(truncations) != len(modes):
-            raise ValueError(
-                f"{len(modes)} modes but {len(truncations)} truncations"
-            )
+            raise ValueError(f"{len(modes)} modes but {len(truncations)} truncations")
         if any(t < 2 for t in truncations):
             raise ValueError(f"every truncation must be >= 2, got {truncations}")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "truncations", truncations)
         if self.dimension > FOCK_DIM_CAP:
             raise OracleTooLargeError(
-                f"truncated-Fock dimension {self.dimension} exceeds the cap "
-                f"{FOCK_DIM_CAP}"
+                f"truncated-Fock dimension {self.dimension} exceeds the cap {FOCK_DIM_CAP}"
             )
 
     @property
@@ -444,125 +435,133 @@ def _lowering_power(truncation: int, power: int, transposed: bool = False) -> np
     return result[0]
 
 
-def fock_matrix(p: OperatorPolynomial, config: FockOracleConfig) -> np.ndarray:
-    """Dense matrix of P on the truncated multi-mode Fock space.
+def _diagonals(p: OperatorPolynomial, config: FockOracleConfig) -> dict[int, np.ndarray]:
+    """P's truncated-Fock matrix as {offset row - col: weights}.
 
-    A monomial, a product over ``config.modes`` (in their listed order) of
-    (a^dag)^c a^n, sends each basis state to at most one other, so it is added
-    entry by entry: per mode |k> goes to |k - n + c> with weight
-    w_c[k - n + c] w_n[k] (``_lowering_power``), and the modes' weights
-    multiply in np.kron's order.  So every entry has the bits of the
-    Kronecker product of dense matrix_power blocks, and nothing dense is
-    allocated but the output.  P must touch only modes present in the config.
+    A monomial, a product over ``config.modes`` (listed order) of (a^dag)^c a^n,
+    sends per mode |k> to |k - n + c> with weight w_c[k - n + c] w_n[k]
+    (``_lowering_power``; 0 off the truncation), multiplied in np.kron's order,
+    so it fills the diagonal at offset sum (c - n) * stride.  Monomials sharing
+    an offset add in term order.  Weight j of offset d is column j + max(0, -d).
     """
-    missing = set(p.modes()) - set(config.modes)
-    if missing:
-        raise ValueError(
-            f"polynomial touches modes {sorted(missing)} absent from the "
-            f"oracle config {config.modes}"
-        )
-    dim = config.dimension
-    out = np.zeros((dim, dim), dtype=complex)
+    if missing := sorted(set(p.modes()) - set(config.modes)):
+        raise ValueError(f"polynomial touches modes {missing} absent from {config.modes}")
+    dim, out = config.dimension, {}
     for (cre, ann), coeff in p.terms.items():
-        rows, weights = np.zeros(1, dtype=np.intp), np.ones(1)
+        offset, weights = 0, np.ones(1)
         for mode, t in zip(config.modes, config.truncations):
             c, n = cre.count(mode), ann.count(mode)
-            target = np.arange(t) - n + c
-            # off the truncation a weight is 0: w_n[k] below n, the appended 0 above
             raised = np.append(_lowering_power(t, c, transposed=True), 0.0)
-            local = raised.take(target, mode="clip") * _lowering_power(t, n)
-            rows = np.add.outer(rows * t, target).ravel()
-            weights = np.multiply.outer(weights, local).ravel()
-        cols = np.flatnonzero(weights)
-        out[rows[cols], cols] += coeff * weights[cols]
+            local = raised.take(np.arange(t) - n + c, mode="clip") * _lowering_power(t, n)
+            offset, weights = offset * t + c - n, np.multiply.outer(weights, local).ravel()
+        if abs(offset) < dim:
+            diagonal = out.setdefault(offset, np.zeros(dim - abs(offset), dtype=complex))
+            diagonal += coeff * weights[max(0, -offset) :][: len(diagonal)]
     return out
 
 
-def fock_adjoint_oracle(
-    x: OperatorPolynomial, y: OperatorPolynomial, config: FockOracleConfig
-) -> np.ndarray:
-    """Brute-force e^X Y e^(-X): :func:`fock_adjoint_oracle_scan` at scale 1.
+def fock_matrix(p: OperatorPolynomial, config: FockOracleConfig) -> np.ndarray:
+    """Dense matrix of P on the truncated multi-mode Fock space, written from
+    ``_diagonals``: each entry has the bits of the sum over terms of coeff * the
+    np.kron of dense matrix_power blocks, and only the output is dense."""
+    dim = config.dimension
+    out = np.zeros((dim, dim), dtype=complex)
+    for offset, weights in _diagonals(p, config).items():
+        out.reshape(-1)[max(offset * dim, -offset) :: dim + 1][: len(weights)] = weights
+    return out
 
-    Trustworthy away from the truncation edge; compare an interior block only.
+
+def _apply(diagonals: dict[int, np.ndarray], v: np.ndarray, dim: int) -> np.ndarray:
+    """P v for v the first len(v) rows of a block, the rest zero; only the
+    rows that can be nonzero, len(v) plus P's largest offset, are formed."""
+    dtype = np.result_type(v, *diagonals.values())
+    out = np.zeros((min(dim, len(v) + max([0, *diagonals])), v.shape[1]), dtype)
+    product = np.empty(v.shape, dtype)
+    for offset, weights in diagonals.items():
+        lo, hi = max(0, -offset), min(len(v), dim - offset)
+        if hi > lo:
+            np.multiply(weights[: hi - lo, None], v[lo:hi], out=product[: hi - lo])
+            out[lo + offset : hi + offset] += product[: hi - lo]
+    return out
+
+
+def _norm_bound(diagonals: dict[int, np.ndarray], dim: int) -> float:
+    """sqrt(||P||_1 ||P||_inf) >= ||P||_2, from the row sums of |P| and |P|^T."""
+    ones = np.ones((dim, 1))
+    rows = _apply({d: np.abs(w) for d, w in diagonals.items()}, ones, dim)
+    cols = _apply({-d: np.abs(w) for d, w in diagonals.items()}, ones, dim)
+    return math.sqrt(cols.max() * rows.max())
+
+
+def _exp_action(diagonals: dict[int, np.ndarray], dim: int, h: float, v: np.ndarray):
+    """e^(hG) v for G's diagonals and v the first len(v) rows of a block.
+
+    Taylor steps as in Al-Mohy & Higham, "Computing the action of the matrix
+    exponential", SIAM J. Sci. Comput. 33, 488 (2011), each stopped once two
+    successive terms fall below 2^-53 of the sum.  A step of at most `terms`
+    stays on the rows it can reach, so it takes G's leading block on them, with
+    its diagonal's mean mu applied apart as e^(t mu), and ||t G|| <= theta.
+    Unreached rows are never formed; the result ends at its last row above
+    2^-106 of its largest entry.
     """
+    theta, terms = 4.0, 40  # 4^40 / 40! < 2e-24; a step's rounding grows like e^4
+    if not abs(h) * _norm_bound(diagonals, dim) <= FOCK_ACTION_CAP:
+        raise OracleTooLargeError(f"|h| {abs(h):g} times ||G|| exceeds {FOCK_ACTION_CAP:g}")
+    reach, dtype = max([0, *diagonals]), np.result_type(v, *diagonals.values())
+    while h:
+        span = min(dim, len(v) + terms * reach)
+        lead = {d: w[: span - abs(d)] for d, w in diagonals.items() if abs(d) < span}
+        mu = np.mean(lead.get(0, 0.0))
+        lead = {d: w - mu if d == 0 else w for d, w in lead.items()}
+        bound = _norm_bound(lead, span)
+        t = h if bound * abs(h) <= theta else math.copysign(theta / bound, h)
+        h -= t
+        total = np.zeros((span, v.shape[1]), dtype)
+        total[: len(v)] = term = v
+        last = np.max(np.abs(v))
+        for j in range(1, terms + 1):
+            term = _apply({d: w * (t / j) for d, w in lead.items()}, term, span)
+            total[: len(term)] += term
+            size = np.max(np.abs(term))
+            if last + size <= 2.0**-53 * np.max(np.abs(total)):
+                break
+            last = size
+        total *= np.exp(t * mu)
+        peaks = np.max(np.abs(total), axis=1)
+        v = total[: 1 + np.flatnonzero(peaks > 2.0**-106 * peaks.max())[-1]]
+    return v
+
+
+def fock_adjoint_oracle(x: OperatorPolynomial, y: OperatorPolynomial, config) -> np.ndarray:
+    """Brute-force e^X Y e^(-X), the scan at scale 1: compare an interior block only."""
     return fock_adjoint_oracle_scan(x, y, config, [1.0])[0]
 
 
 def fock_adjoint_oracle_scan(
-    generator: OperatorPolynomial,
-    y: OperatorPolynomial,
-    config: FockOracleConfig,
-    scales,
-    interior: int | None = None,
+    generator: OperatorPolynomial, y: OperatorPolynomial, config, scales, interior=None
 ) -> list[np.ndarray]:
     """Brute-force e^(sG) Y e^(-sG) on the truncated Fock space, per scale s.
 
-    G must be anti-Hermitian in its coefficient pattern, so that e^(-sG) is the
-    conjugate transpose of U = e^(sG) and the conjugation stays unitary.  G is
-    decomposed once (``_exp_anti_hermitian``, given each basis state's total
-    occupation), and its matrix is freed before Y's is built.  Per scale the
-    result is the dense complex U_I Y U_I^dag, U_I the first ``interior`` rows
-    of U (all when None); when U and Y are both real it is formed as the real
-    product U_I Y U_I^T.
+    G must be anti-Hermitian in its coefficient pattern; (G - G^dag) / 2 is used,
+    so a rounding-level defect enters through its mean, and U = e^(sG) has
+    U_I^dag = V = e^(-sG)[:, :interior] for its first ``interior`` rows (all
+    when None).  ``_exp_action`` carries V through the sorted scales, each
+    result is the complex V^dag (Y V), and G and Y act by diagonals, in real
+    arithmetic when both are real: no dim x dim array is formed unless
+    ``interior`` is None.  A scale gap over FOCK_ACTION_CAP / ||G|| raises.
     """
     if not generator.is_anti_hermitian():
-        raise ValueError(
-            "oracle generator must have an anti-Hermitian coefficient pattern"
-        )
-    shape = config.truncations
-    occupations = np.indices(shape).reshape(len(shape), -1).sum(axis=0)
-    exp_rows = _exp_anti_hermitian(fock_matrix(generator, config), occupations)
-    ym = fock_matrix(y, config)
-    real_y = not np.any(ym.imag)
-
-    def conjugate(u):
-        if real_y and np.isrealobj(u):
-            return (u @ ym.real @ u.T).astype(complex)
-        return u @ ym @ u.conj().T
-
-    return [conjugate(exp_rows(scale, interior)) for scale in scales]
-
-
-def _exp_anti_hermitian(xm: np.ndarray, occupations=None):
-    """``rows(s, count=None)``: first ``count`` rows (all when None) of e^(sX).
-
-    One decomposition of the anti-Hermitian part (X - X^dag) / 2 serves every
-    s, and e^(sX) is unitary by construction.  A rounding-level defect of X
-    thus enters through its mean, and an exactly anti-Hermitian X is unchanged.
-    Real route: when X is exactly real and couples only basis states whose
-    ``occupations`` n (the basis index by default) differ by an odd number,
-    the part is [[0, B], [-B^T, 0]] with the states grouped by the parity of
-    n.  One SVD B = U diag(sigma) W^T of half the size, U and W square (the
-    |n_even - n_odd| unmatched directions take sigma = 0), gives the real
-    e^X = [[U cos U^T, U sin W^T], [-W sin U^T, W cos W^T]] of sigma.
-    Otherwise ``eigh`` of the Hermitian part of -iX = V diag(w) V^dag gives
-    e^X = V diag(e^(iw)) V^dag.
-    """
-    n = np.arange(len(xm)) if occupations is None else np.asarray(occupations)
-    parity = n % 2 == 1
-    even, odd = np.flatnonzero(~parity), np.flatnonzero(parity)
-    x = xm.real
-    same_parity = np.any(x[np.ix_(even, even)]) or np.any(x[np.ix_(odd, odd)])
-    if not (np.any(xm.imag) or same_parity):
-        b = 0.5 * (x[np.ix_(even, odd)] - x[np.ix_(odd, even)].T)
-        del x, xm  # a caller that passes X's matrix as a temporary frees it here
-        u, sigma, wt = np.linalg.svd(b)
-        r, angles_u, angles_w = len(sigma), np.zeros(len(even)), np.zeros(len(odd))
-        angles_u[:r] = angles_w[:r] = sigma
-
-        def real_rows(scale, count=None):
-            ue = u[: np.count_nonzero(~parity[:count])]
-            wo = wt.T[: np.count_nonzero(parity[:count])]
-            sin = np.sin(scale * sigma)
-            out = np.empty((len(ue) + len(wo), len(n)))
-            out[np.ix_(even[: len(ue)], even)] = (ue * np.cos(scale * angles_u)) @ u.T
-            out[np.ix_(even[: len(ue)], odd)] = (ue[:, :r] * sin) @ wt[:r]
-            out[np.ix_(odd[: len(wo)], odd)] = (wo * np.cos(scale * angles_w)) @ wt
-            out[np.ix_(odd[: len(wo)], even)] = -(wo[:, :r] * sin) @ u[:, :r].T
-            return out
-
-        return real_rows
-    h = -1j * xm
-    w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-    vh = v.conj().T
-    return lambda scale, count=None: (v[:count] * np.exp(1j * (scale * w))) @ vh
+        raise ValueError("oracle generator must have an anti-Hermitian coefficient pattern")
+    dim, ym = config.dimension, _diagonals(y, config)
+    g = _diagonals(0.5 * (generator - generator.dagger()), config)
+    if not any(np.any(w.imag) for w in (*g.values(), *ym.values())):
+        g, ym = ({d: w.real for d, w in m.items()} for m in (g, ym))
+    start = np.eye(dim if interior is None else interior)  # complex once G is
+    blocks, v, at = [None] * len(scales), start, 0.0
+    # one sweep from the identity per sign of s, in order of |s|
+    for i in sorted(range(len(scales)), key=lambda i: (scales[i] < 0, abs(scales[i]))):
+        if scales[i] < 0 <= at:
+            v, at = start, 0.0
+        v, at = _exp_action(g, dim, at - float(scales[i]), v), float(scales[i])
+        blocks[i] = (v.conj().T @ _apply(ym, v, dim)[: len(v)]).astype(complex)
+    return blocks

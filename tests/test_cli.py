@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -324,13 +325,24 @@ def test_bch_xi_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
 
 
 def test_bch_huge_finite_xi_still_runs(tmp_path, capsys):
-    # a finite scaled spectrum runs; the truncation, not the float range,
-    # makes the row fail
-    cfg = bch_config(xi_values=[1e200])
+    # a large xi below the oracle's cap runs; the truncation, not the cap or
+    # the float range, makes the row fail
+    cfg = bch_config(xi_values=[-500.0])
     assert run(tmp_path, "bch-check", cfg, "--format", "csv") == 1
     (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
     assert row["passed"] == "false"
     assert math.isfinite(float(row["computed"]))
+
+
+@pytest.mark.parametrize("xi", [1e200, -916.0])
+def test_bch_xi_beyond_the_action_cap_is_a_config_error(tmp_path, capsys, xi):
+    # the oracle's Taylor steps grow with |xi| times the generator's norm,
+    # bounded by 2 sqrt(truncation); past FOCK_ACTION_CAP the key is named.
+    # At truncation 20 the cap admits |xi| up to 915.9
+    assert run(tmp_path, "bch-check", bch_config(xi_values=[0.3, xi])) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "xi_values[1]" in err and "cap" in err
 
 
 @pytest.mark.parametrize("height", [1e150, 1e200])
@@ -358,25 +370,36 @@ def test_cp_vertex_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
 
 
 def test_bch_check_decomposes_the_generator_once(tmp_path, capsys, monkeypatch):
-    # every xi is a scale of one generator, so one decomposition serves the
-    # whole run: a real parity-flipping generator takes the SVD of its
-    # (even, odd) block, half the size of the Fock space, and no eigh
-    calls = []
+    # every xi is a scale of one generator, so one pass of the Taylor action
+    # through the sorted xi values serves the whole run: its steps add up to
+    # the largest xi.  No eigen- or singular-value decomposition is taken, and
+    # nothing T x T is allocated (a real one is 1.28 MB at T = 400)
+    from dipolegauge import operator_algebra
 
-    def counting(name, decompose):
-        def wrapped(*args, **kwargs):
-            calls.append((name, args[0].shape))
-            return decompose(*args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decomposition taken")
 
-        return wrapped
+    for name in ("eig", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    steps, action = [], operator_algebra._exp_action
 
-    for name in ("eigh", "svd"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    cfg = bch_config(xi_values=[0.229, 0.46, 0.947], truncation=400, interior=20)
-    assert run(tmp_path, "bch-check", cfg, "--format", "csv") == 0
+    def recording(diagonals, dim, h, v):
+        steps.append(h)
+        return action(diagonals, dim, h, v)
+
+    monkeypatch.setattr(operator_algebra, "_exp_action", recording)
+    cfg = bch_config(xi_values=[0.46, 0.229, 0.947], truncation=400, interior=20)
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "bch-check", cfg, "--format", "csv") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 3 and all(row.endswith(",true") for row in rows)
-    assert calls == [("svd", (200, 200))]
+    assert len(steps) == 3 and all(h < 0 for h in steps)
+    assert sum(steps) == pytest.approx(-0.947, rel=1e-15)
+    assert peak < 400 * 400 * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize("interior, truncation", [(1, 20), (20, 20), (2, 2)])

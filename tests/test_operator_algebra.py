@@ -19,7 +19,7 @@ from dipolegauge import (
     is_central,
     time_derivative_conjugation,
 )
-from dipolegauge.operator_algebra import _exp_anti_hermitian
+from dipolegauge.operator_algebra import FOCK_DIM_CAP, _apply, _diagonals, _exp_action
 
 OP = OperatorPolynomial
 
@@ -315,6 +315,33 @@ def _two_mode_generator():
     )
 
 
+def _exp(x, cfg):
+    """e^X from the oracle's Taylor action on the identity, in real arithmetic
+    when X is real, as the scan takes it."""
+    diagonals = _diagonals(x, cfg)
+    if not any(np.any(w.imag) for w in diagonals.values()):
+        diagonals = {d: w.real for d, w in diagonals.items()}
+    block = _exp_action(diagonals, cfg.dimension, 1.0, np.eye(cfg.dimension))
+    u = np.zeros((cfg.dimension,) * 2, block.dtype)
+    u[: len(block)] = block
+    return u
+
+
+def _action_dtypes(monkeypatch):
+    """The dtypes of the blocks that the scan propagates, recorded per call."""
+    from dipolegauge import operator_algebra
+
+    seen, action = [], operator_algebra._exp_action
+
+    def recording(diagonals, dim, h, v):
+        out = action(diagonals, dim, h, v)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(operator_algebra, "_exp_action", recording)
+    return seen
+
+
 @pytest.mark.parametrize(
     "x, cfg, real",
     [
@@ -324,59 +351,63 @@ def _two_mode_generator():
     ],
     ids=["xi0.1", "xi1.0", "two-mode"],
 )
-def test_spectral_exponential_matches_expm_and_is_unitary(x, cfg, real):
-    # a real displacement takes the real route; the complex two-mode
-    # generator takes the complex one
+def test_spectral_exponential_matches_expm_and_is_unitary(x, cfg, real, monkeypatch):
+    # the Taylor action on the identity is e^X; a real displacement with the
+    # real Y is propagated in real arithmetic, the complex two-mode generator not
     from scipy.linalg import expm
 
     xm = fock_matrix(x, cfg)
-    u = _exp_anti_hermitian(xm)(1.0)
-    assert np.isrealobj(u) == real
-    assert np.max(np.abs(u - expm(xm))) <= 1e-12
+    u, exact = _exp(x, cfg), expm(xm)
+    assert np.max(np.abs(u - exact)) <= 1e-12
     assert np.max(np.abs(u @ u.conj().T - np.eye(cfg.dimension))) <= 1e-13
+    # the oracle propagates e^(-X) on its own, so it is held to expm's conjugation
     y = a(cfg.modes[-1]) + ad(cfg.modes[-1])
     ym = fock_matrix(y, cfg)
-    # a real U conjugates the real Y in real arithmetic, as the oracle does
-    expected = u @ ym.real @ u.T if real else u @ ym @ u.conj().T
-    assert_allclose(fock_adjoint_oracle(x, y, cfg), expected)
+    dtypes = _action_dtypes(monkeypatch)
+    deviation = fock_adjoint_oracle(x, y, cfg) - exact @ ym @ exact.conj().T
+    assert np.max(np.abs(deviation)) <= 1e-13 * np.max(np.abs(ym))
+    assert dtypes == [np.dtype(float if real else complex)]
 
 
 @pytest.mark.parametrize("theta", [0.7, -2.3])
 def test_spectral_exponential_exact_phase(theta):
-    # H = theta n is diagonal: the eigenvectors are exact, so U is exactly
-    # diagonal, and each phase is off only by the rounding of its eigenvalue
+    # theta n is diagonal, so every Taylor term is and U is exactly diagonal;
+    # each phase is off by no more than the rounding of theta n would allow
     n = np.arange(40)
-    xm = fock_matrix(1j * theta * ad() * a(), oracle_config(40))
-    u = _exp_anti_hermitian(xm)(1.0)
+    u = _exp(1j * theta * ad() * a(), oracle_config(40))
     assert np.array_equal(u, np.diag(np.diag(u)))
     ulp = np.spacing(abs(theta) * n[-1])
     assert_allclose(np.diag(u), np.exp(1j * theta * n), rtol=0, atol=4 * ulp)
 
 
+def _projected(x):
+    return 0.5 * (x - x.dagger())
+
+
 def test_spectral_exponential_reads_both_triangles():
-    # eigh sees one triangle; the anti-Hermitian part of the whole matrix is
-    # what must be exponentiated, so a defect in the upper triangle counts
+    # a rounding-level defect on one side of an adjoint pair (a^dag^2 has no
+    # a^2 partner) passes the check and enters through its mean: the oracle
+    # exponentiates (X - X^dag) / 2, the same bits as the projected polynomial
     from scipy.linalg import expm
 
-    xm = fock_matrix(0.4 * (ad() - a()), oracle_config(12))
-    xm[2, 5] += 1e-3 - 2e-3j
-    u = _exp_anti_hermitian(xm)(1.0)
-    assert np.max(np.abs(u - expm(0.5 * (xm - xm.conj().T)))) <= 1e-13
+    cfg = oracle_config(12)
+    x = 0.4 * (ad() - a()) + (3e-14 - 2e-14j) * ad() * ad()
+    y = a() + ad()
+    assert x.is_anti_hermitian() and _projected(x) != x
+    got = fock_adjoint_oracle(x, y, cfg)
+    assert np.array_equal(got, fock_adjoint_oracle(_projected(x), y, cfg))
+    xm = fock_matrix(x, cfg)
+    u = expm(0.5 * (xm - xm.conj().T))
+    assert np.max(np.abs(got - u @ fock_matrix(y, cfg) @ u.conj().T)) <= 1e-13
 
 
 def _real_two_mode_generator():
-    # real displacements of both modes and a cubic term: every monomial moves
-    # the total occupation by an odd number, so the real route applies
+    # real displacements of both modes and a cubic term
     return (
         0.4 * (ad(0) - a(0))
         - 0.3 * (ad(1) - a(1))
         + 0.05 * (ad(0) * ad(1) * ad(1) - a(0) * a(1) * a(1))
     )
-
-
-def _occupations(cfg):
-    shape = cfg.truncations
-    return np.indices(shape).reshape(len(shape), -1).sum(axis=0)
 
 
 @pytest.mark.parametrize(
@@ -387,32 +418,41 @@ def _occupations(cfg):
     ],
     ids=["odd-truncation", "two-mode"],
 )
-def test_real_route_matches_expm_and_is_unitary(x, cfg):
-    # at truncation 41 the (even, odd) block is 21 x 20, so one direction is
-    # unmatched; at (5, 8) the basis index's parity is not the occupation's,
-    # so the route needs the occupations the scan passes
+def test_real_route_matches_expm_and_is_unitary(x, cfg, monkeypatch):
+    # a real X and a real Y are propagated in real arithmetic; at (5, 8) the
+    # generator has diagonals at offsets of both modes' strides
     from scipy.linalg import expm
 
-    xm = fock_matrix(x, cfg)
-    u = _exp_anti_hermitian(xm, _occupations(cfg))(1.0)
+    xm = fock_matrix(x, cfg).real
+    u, exact = _exp(x, cfg), expm(xm)
     assert np.isrealobj(u)
-    assert np.max(np.abs(u - expm(xm))) <= 1e-12
+    assert np.max(np.abs(u - exact)) <= 1e-12
     assert np.max(np.abs(u @ u.T - np.eye(cfg.dimension))) <= 1e-13
+    # the oracle propagates e^(-X) on its own, so it is held to expm's conjugation
     y = a(cfg.modes[-1]) + ad(cfg.modes[-1])
-    expected = u @ fock_matrix(y, cfg).real @ u.T
-    assert_allclose(fock_adjoint_oracle(x, y, cfg), expected, rtol=0, atol=1e-14)
+    ym = fock_matrix(y, cfg).real
+    dtypes = _action_dtypes(monkeypatch)
+    deviation = fock_adjoint_oracle(x, y, cfg) - exact @ ym @ exact.T
+    assert np.max(np.abs(deviation)) <= 1e-13 * np.max(np.abs(ym))
+    assert dtypes == [np.dtype(float)]
 
 
-def test_real_route_reads_both_triangles():
-    # the real twin of the test above: a real defect in one triangle keeps X
-    # real and parity-flipping, and enters through the mean of the blocks
+def test_real_route_reads_both_triangles(monkeypatch):
+    # the real twin of the test above: a real rounding-level defect in one
+    # coefficient of the pair keeps X real, and enters through the mean
     from scipy.linalg import expm
 
-    xm = fock_matrix(0.4 * (ad() - a()), oracle_config(12))
-    xm[2, 5] += 1e-3
-    u = _exp_anti_hermitian(xm)(1.0)
-    assert np.isrealobj(u)
-    assert np.max(np.abs(u - expm(0.5 * (xm - xm.T)))) <= 1e-13
+    cfg = oracle_config(12)
+    x = 0.4 * ad() - (0.4 + 1e-13) * a()
+    y = a() + ad()
+    assert x.is_anti_hermitian() and _projected(x) != x
+    dtypes = _action_dtypes(monkeypatch)
+    got = fock_adjoint_oracle(x, y, cfg)
+    assert dtypes == [np.dtype(float)]
+    assert np.array_equal(got, fock_adjoint_oracle(_projected(x), y, cfg))
+    xm = fock_matrix(x, cfg).real
+    u = expm(0.5 * (xm - xm.T))
+    assert np.max(np.abs(got - u @ fock_matrix(y, cfg).real @ u.T)) <= 1e-13
 
 
 def _traced_peak(build):
@@ -427,27 +467,39 @@ def _traced_peak(build):
 
 
 def test_fock_matrix_allocates_nothing_dense_but_its_output():
-    # a monomial has at most one entry per column, so the dense local
-    # blocks, their powers, Kronecker products and the complex coeff * block
-    # of a dense build (2.55 times the output) are never formed
+    # a monomial fills one diagonal, so the dense local blocks, their powers,
+    # Kronecker products and the complex coeff * block of a dense build (2.55
+    # times the output) are never formed
     peak, out = _traced_peak(lambda: fock_matrix(ad() - a(), oracle_config(400)))
     assert peak <= 1.1 * out.nbytes
 
 
 def test_oracle_scan_peak_memory():
-    # G's matrix is freed before Y's is built, and the decomposition holds
-    # only half-size blocks: at most 2.25 complex T x T matrices (the eigh of
-    # the full phased matrix, with its masks and copies, peaked at 3.12)
+    # the scan holds diagonals and dim x interior blocks: 4 complex
+    # T x interior blocks (512 kB) are below one real T x T matrix (1.28 MB)
     cfg = oracle_config(400)
     scales = [0.229, 0.46, 0.947]
     peak, _ = _traced_peak(
         lambda: fock_adjoint_oracle_scan(ad() - a(), a() + ad(), cfg, scales, 20)
     )
-    assert peak <= 2.25 * cfg.dimension**2 * np.dtype(complex).itemsize
+    assert peak <= 4 * cfg.dimension * 20 * np.dtype(complex).itemsize
+
+
+def test_oracle_scan_at_the_dimension_cap_stays_small_and_ignores_unreached_rows():
+    # at the cap a real T x T matrix is 134 MB; the interior block never
+    # reaches row 400 at these scales, so it has the bits of the run at T = 400
+    cfg = oracle_config(FOCK_DIM_CAP)
+    scales = [0.229, 0.46, 0.947]
+    peak, blocks = _traced_peak(
+        lambda: fock_adjoint_oracle_scan(ad() - a(), a() + ad(), cfg, scales, 20)
+    )
+    assert peak <= 4 * cfg.dimension * 20 * np.dtype(complex).itemsize
+    small = fock_adjoint_oracle_scan(ad() - a(), a() + ad(), oracle_config(400), scales, 20)
+    assert all(np.array_equal(b, s) for b, s in zip(blocks, small))
 
 
 def _complex_generator():
-    # a complex displacement plus a rotation: the complex eigh route
+    # a complex displacement plus a rotation: complex arithmetic
     c = 0.3 - 0.7j
     return c * ad() - c.conjugate() * a() + 0.6j * ad() * a()
 
@@ -483,15 +535,71 @@ def test_oracle_scan_interior_blocks_match_per_scale_oracle(generator, truncatio
         assert np.max(np.abs(block - interior(full, size))) <= 1e-13 * y_norm
 
 
+def test_oracle_scan_takes_scales_in_any_order_and_sign():
+    # negative scales get their own sweep from the identity; repeats and 0 work
+    cfg = oracle_config(60)
+    generator, y = _complex_generator(), a() + ad()
+    scales = [0.5, -0.3, 0.0, 0.5, -1.0, 0.2]
+    blocks = fock_adjoint_oracle_scan(generator, y, cfg, scales, 10)
+    y_norm = np.max(np.abs(fock_matrix(y, cfg)))
+    assert np.array_equal(blocks[0], blocks[3])
+    assert_allclose(blocks[2], interior(fock_matrix(y, cfg), 10), rtol=0, atol=0)
+    for xi, block in zip(scales, blocks):
+        full = fock_adjoint_oracle(xi * generator, y, cfg)
+        assert np.max(np.abs(block - interior(full, 10))) <= 1e-13 * y_norm
+
+
+@pytest.mark.parametrize("scale", [1e200, np.inf, np.nan])
+def test_oracle_scan_beyond_the_action_cap_raises(scale):
+    # the Taylor steps grow with |s| ||G||, so the scan refuses a scale whose
+    # product with the norm bound exceeds the cap, before propagating
+    with pytest.raises(OracleTooLargeError, match="exceeds"):
+        fock_adjoint_oracle_scan(ad() - a(), a() + ad(), oracle_config(20), [0.1, scale], 5)
+
+
 def test_oracle_scan_checks_generator_before_building_matrices(monkeypatch):
     from dipolegauge import operator_algebra
 
     def forbidden(*args):
-        raise AssertionError("Fock matrix built")
+        raise AssertionError("Fock operator built")
 
-    monkeypatch.setattr(operator_algebra, "fock_matrix", forbidden)
+    monkeypatch.setattr(operator_algebra, "_diagonals", forbidden)
     with pytest.raises(ValueError, match="anti-Hermitian"):
         fock_adjoint_oracle_scan(ad(), a() + ad(), oracle_config(400), [0.5, 1.0], 3)
+
+
+def test_fock_matrix_adds_monomials_sharing_a_diagonal_in_term_order():
+    # a^dag_0 a_1 and a^dag_0 a^dag_1 a_1 a_1 both sit at offset 5 - 1 in a
+    # (4, 5) space; their entries add in term order, with matrix_power's bits
+    cfg = FockOracleConfig(modes=(0, 1), truncations=(4, 5))
+    p = (0.3 - 0.1j) * ad(0) * a(1) + 0.7 * ad(0) * ad(1) * a(1) * a(1) + 0.2 * ad(0)
+    power = np.linalg.matrix_power
+
+    def block(t, c, n):
+        lower = np.diag(np.sqrt(np.arange(1.0, t)), k=1)
+        return power(lower.T, c) @ power(lower, n)
+
+    expected = np.zeros((20, 20), dtype=complex)
+    for (cre, ann), coeff in p.terms.items():
+        blocks = [block(t, cre.count(m), ann.count(m)) for m, t in zip((0, 1), (4, 5))]
+        expected += coeff * np.kron(*blocks)
+    assert np.array_equal(fock_matrix(p, cfg), expected)
+    assert sorted(_diagonals(p, cfg)) == [4, 5]
+
+
+def test_apply_matches_the_dense_product_on_a_leading_block(rng):
+    # P v for v the first rows of a block is the dense product with the rest
+    # zero, formed only on the rows it can reach
+    cfg = FockOracleConfig(modes=(0, 1), truncations=(6, 7))
+    p = _two_mode_generator() + 0.3 * ad(1) * ad(1) * a(0)
+    v = rng.standard_normal((11, 3))
+    got = _apply(_diagonals(p, cfg), v, cfg.dimension)
+    assert len(got) == 11 + 7  # a^dag_0 moves by mode 1's truncation
+    padded = np.zeros((cfg.dimension, 3))
+    padded[:11] = v
+    want = fock_matrix(p, cfg) @ padded
+    assert_allclose(got, want[: len(got)], rtol=0, atol=1e-14)
+    assert not np.any(want[len(got) :])
 
 
 # --- properties against the dense Fock matrices -----------------------------
@@ -565,7 +673,7 @@ def test_property_dagger_anti_homomorphism(p, q):
 _EIGHTH = st.integers(-2, 2).map(lambda n: n / 8)
 
 
-# each example exponentiates two dense 144 x 144 generators
+# each example propagates two 144 x 144 identities through the Taylor action
 @settings(_PROPERTY_SETTINGS, max_examples=10)
 @given(
     st.lists(_EIGHTH, min_size=5, max_size=5), st.lists(_COEFF, min_size=5, max_size=5)
