@@ -428,25 +428,29 @@ def commutator_line_integrals(
         dist = _separation(r, "field point must be away from the origin")
         radius = 1e-6 * dist if exclusion_radius is None else exclusion_radius
         _check_clearance(path, r, radius)
-        checked.append((path, r))
-    # the segments of every charged job, in job then path order
-    integrated = [(path, r) for path, r in checked if path.charge != 0.0]
+        checked.append((path, r, dist))
+    # the segments of every charged job, in job then path order, in units of
+    # its |r|: the kernel has degree -3 in length and ds degree 1, so the
+    # integral is |r|^-2 times that of the scaled job, which is of order 1,
+    # and the absolute stop _QUAD_EPSABS acts as a relative one
+    integrated = [(path, r, dist) for path, r, dist in checked if path.charge != 0.0]
     if integrated:
-        starts = np.concatenate([path.vertices[:-1] for path, _ in integrated])
-        dirs = np.concatenate([np.diff(path.vertices, axis=0) for path, _ in integrated])
+        starts = np.concatenate([p.vertices[:-1] / d for p, _, d in integrated])
+        dirs = np.concatenate([np.diff(p.vertices, axis=0) / d for p, _, d in integrated])
         points = np.concatenate(
-            [np.broadcast_to(r, (path.num_segments, 3)) for path, r in integrated]
+            [np.broadcast_to(r / d, (p.num_segments, 3)) for p, r, d in integrated]
         )
         segment_values = iter(_segment_integrals(starts, dirs, points, quad_epsrel))
     results = []
-    for path, _ in checked:
+    for path, _, dist in checked:
         if path.charge == 0.0:
             results.append(np.zeros(3))
             continue
         total = np.zeros(3)
         for _ in range(path.num_segments):
             total += next(segment_values)
-        results.append(-path.charge / (4.0 * np.pi * units.epsilon0) * total)
+        prefactor = -path.charge / (4.0 * np.pi * units.epsilon0)
+        results.append(prefactor * (total / dist / dist))
     return results
 
 

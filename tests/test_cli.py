@@ -1246,6 +1246,50 @@ def test_gates_are_unit_covariant(tmp_path, case):
         assert float(new["tolerance"]) == pytest.approx(expected, rel=1e-12)
 
 
+def _scaled_lengths(command: str, config: dict, lam: float) -> dict:
+    """``config`` with every length times ``lam``: positions, separations,
+    field points, path vertices, box length, sigma and exclusion radius."""
+    cfg = json.loads(json.dumps(config))
+
+    def scale(vectors):
+        return [[lam * x for x in v] for v in vectors]
+
+    if command == "verify-commutator":
+        cfg["separations"] = scale(cfg["separations"])
+        cfg["box_length"] = lam * cfg.get("box_length", 1.0)
+    if command in ("dipole-energy", "field-shift"):
+        for dipole in cfg["dipoles"]:
+            dipole["position"] = [lam * x for x in dipole["position"]]
+        lattice = cfg.setdefault("lattice", {})
+        lattice["box_length"] = lam * lattice.get("box_length", 1.0)
+    if command in ("field-shift", "coulomb-path"):
+        cfg["field_points"] = scale(cfg["field_points"])
+    for path in cfg.get("charge_paths") or []:
+        path["vertices"] = scale(path["vertices"])
+    for key in ("sigma", "exclusion_radius"):
+        if cfg.get(key) is not None:
+            cfg[key] *= lam
+    return cfg
+
+
+@pytest.mark.parametrize("lam", [2.0**40, 2.0**-40], ids=["2^40", "2^-40"])
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[f"{i}-{case['command']}" for i, case in enumerate(GOLDEN)]
+)
+def test_gates_are_length_covariant(tmp_path, case, lam):
+    # no length threshold decides the physics either: with every length of a
+    # golden config scaled by 2^+-40 (exact in binary), each config keeps its
+    # exit code and each row its comparison, kind and verdict
+    out = tmp_path / "rows.csv"
+    cfg = _scaled_lengths(case["command"], case["config"], lam)
+    argv = ["--format", "csv", "--out", str(out)]
+    assert run(tmp_path, case["command"], cfg, *argv) == case["exit_code"]
+    want = list(csv.DictReader(io.StringIO(case["csv"])))
+    got = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+    keys = ("comparison", "kind", "passed")
+    assert [[r[k] for k in keys] for r in got] == [[r[k] for k in keys] for r in want]
+
+
 def test_unwritable_out_path_is_an_output_error(tmp_path, capsys):
     # a directory, or a file in a missing directory, exits 2 with one line
     # on stderr; exit 1 is kept for tolerance failures

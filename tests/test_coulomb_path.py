@@ -148,20 +148,23 @@ def test_quad_matches_endpoint_formula():
 
 def _quad_vec_line_integral(path, r, epsrel):
     # the line integral as computed with scipy's quad_vec, one scalar node per
-    # kernel call, segment by segment in path order
+    # kernel call, segment by segment in path order, in units of |r| as the
+    # library integrates it (the result is |r|^-2 times the scaled integral)
     from scipy.integrate import quad_vec
 
+    dist = np.linalg.norm(r)
+    r_scaled = r / dist
     total = np.zeros(3)
     for i in range(path.num_segments):
-        a = path.vertices[i]
-        seg = path.vertices[i + 1] - a
+        a = path.vertices[i] / dist
+        seg = (path.vertices[i + 1] - path.vertices[i]) / dist
 
         def integrand(u, a=a, seg=seg):
-            return _single_row_kernel(a + u * seg - r) @ seg
+            return _single_row_kernel(a + u * seg - r_scaled) @ seg
 
         value, _ = quad_vec(integrand, 0.0, 1.0, epsrel=epsrel, epsabs=1e-14)
         total += value
-    return -path.charge / (4.0 * np.pi * UnitSystem().epsilon0) * total
+    return -path.charge / (4.0 * np.pi * UnitSystem().epsilon0) * (total / dist / dist)
 
 
 @pytest.mark.parametrize("epsrel", [1e-6, 1e-9, 1e-12, 1e-16])
