@@ -70,9 +70,10 @@ class ChargePath:
             raise ValueError("path vertices must be finite")
         if np.any(vertices[0] != 0.0):
             raise ValueError(f"path must start at the origin, got {vertices[0]}")
-        seg_lengths = np.linalg.norm(np.diff(vertices, axis=0), axis=1)
-        if np.any(seg_lengths == 0.0):
-            idx = int(np.flatnonzero(seg_lengths == 0.0)[0])
+        # compared, not subtracted or squared, so no vertex can overflow here
+        coincide = np.flatnonzero(np.all(vertices[1:] == vertices[:-1], axis=1))
+        if coincide.size:
+            idx = int(coincide[0])
             raise ValueError(f"consecutive vertices {idx} and {idx + 1} coincide")
         charge = float(self.charge)
         if not np.isfinite(charge):
@@ -479,11 +480,13 @@ def path_residual(
 ) -> float:
     """Max-norm difference of two line integrals at r, normalized by |E_c(r)|.
 
-    Zero for a zero charge, whose line integrals vanish identically.
+    Zero for a zero charge, whose line integrals vanish identically.  |E_c| is
+    math.hypot of the field, which neither over- nor underflows where the
+    squares of its components would.
     """
     if charge == 0.0:
         return 0.0
-    scale = float(np.linalg.norm(coulomb_field(r, charge, units)))
+    scale = math.hypot(*coulomb_field(r, charge, units).tolist())
     return float(np.max(np.abs(first - second)) / scale)
 
 

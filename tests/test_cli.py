@@ -359,6 +359,20 @@ def test_cp_field_point_beyond_the_float_range_is_a_config_error(
     assert "field_points[1]" in err
 
 
+def test_cp_far_field_point_gives_finite_passing_rows(tmp_path, capsys):
+    # at 1e100 the Coulomb field's components are about 1e-200, whose squares
+    # underflow: the residual's |E_c| is a hypot, so the row stays finite, and
+    # the quadrature in units of |r| passes its gates as at |r| = 1
+    cfg = {"schema_version": 1, "field_points": [[0, 0, 1e100]]}
+    assert run(tmp_path, "coulomb-path", cfg, "--format", "csv") == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["comparison"] for row in rows] == [
+        "recovery_max_dev", "quad_vs_endpoint_formula", "straight_vs_staircase_residual"
+    ]
+    assert all(math.isfinite(float(row["computed"])) for row in rows)
+    assert all(row["passed"] == "true" for row in rows)
+
+
 def test_cp_vertex_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
     far = {"vertices": [[0, 0, 0], [0, 1e150, 0]]}
     cfg = cp_config(charge_paths=[cp_config()["charge_paths"][0], far])
@@ -367,6 +381,34 @@ def test_cp_vertex_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
     assert "config error" in err
     assert "charge_paths[1].vertices[1]" in err
     assert "field_points[0]" in err
+
+
+@pytest.mark.parametrize("warnings", [[], ["-W", "error"]], ids=["default", "W-error"])
+def test_cp_vertex_beyond_the_float_range_exits_2_under_any_warning_filter(
+    tmp_path, warnings
+):
+    # the path is built while the config is parsed; its coincident-vertex
+    # check compares vertices rather than squaring their differences, so a
+    # vertex at 1e200 reaches the float-range check, which names it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cfg = {
+        "schema_version": 1,
+        "field_points": [[0, 0, 1.0]],
+        "charge_paths": [{"vertices": [[0, 0, 0], [0, 0, 1e200]]}],
+    }
+    result = subprocess.run(
+        [sys.executable, *warnings, "-m", "dipolegauge.cli", "coulomb-path",
+         "--config", write_config(tmp_path, cfg), "--format", "csv"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("config error")
+    assert "charge_paths[0].vertices[1]" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_bch_check_decomposes_the_generator_once(tmp_path, capsys, monkeypatch):
