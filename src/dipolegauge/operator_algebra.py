@@ -474,14 +474,12 @@ def fock_matrix(p: OperatorPolynomial, config: FockOracleConfig) -> np.ndarray:
 def _apply(diagonals: dict[int, np.ndarray], v: np.ndarray, dim: int) -> np.ndarray:
     """P v for v the first len(v) rows of a block, the rest zero; only the
     rows that can be nonzero, len(v) plus P's largest offset, are formed."""
-    dtype = np.result_type(v, *diagonals.values())
-    out = np.zeros((min(dim, len(v) + max([0, *diagonals])), v.shape[1]), dtype)
-    product = np.empty(v.shape, dtype)
+    rows = min(dim, len(v) + max([0, *diagonals]))
+    out = np.zeros((rows, v.shape[1]), np.result_type(v, *diagonals.values()))
     for offset, weights in diagonals.items():
         lo, hi = max(0, -offset), min(len(v), dim - offset)
         if hi > lo:
-            np.multiply(weights[: hi - lo, None], v[lo:hi], out=product[: hi - lo])
-            out[lo + offset : hi + offset] += product[: hi - lo]
+            out[lo + offset : hi + offset] += weights[: hi - lo, None] * v[lo:hi]
     return out
 
 
@@ -498,9 +496,9 @@ def _exp_action(diagonals: dict[int, np.ndarray], dim: int, h: float, v: np.ndar
 
     Taylor steps as in Al-Mohy & Higham, "Computing the action of the matrix
     exponential", SIAM J. Sci. Comput. 33, 488 (2011), each stopped once two
-    successive terms fall below 2^-53 of the sum.  A step of at most `terms`
+    successive terms fall below 2^-53 of the sum.  A step of at most ``terms``
     stays on the rows it can reach, so it takes G's leading block on them, with
-    its diagonal's mean mu applied apart as e^(t mu), and ||t G|| <= theta.
+    its diagonal's mean mu applied apart as e^(t mu), and ||t G|| <= ``theta``.
     Unreached rows are never formed; the result ends at its last row above
     2^-106 of its largest entry.
     """
@@ -532,13 +530,16 @@ def _exp_action(diagonals: dict[int, np.ndarray], dim: int, h: float, v: np.ndar
     return v
 
 
-def fock_adjoint_oracle(x: OperatorPolynomial, y: OperatorPolynomial, config) -> np.ndarray:
+def fock_adjoint_oracle(
+    x: OperatorPolynomial, y: OperatorPolynomial, config: FockOracleConfig
+) -> np.ndarray:
     """Brute-force e^X Y e^(-X), the scan at scale 1: compare an interior block only."""
     return fock_adjoint_oracle_scan(x, y, config, [1.0])[0]
 
 
 def fock_adjoint_oracle_scan(
-    generator: OperatorPolynomial, y: OperatorPolynomial, config, scales, interior=None
+    generator: OperatorPolynomial, y: OperatorPolynomial, config: FockOracleConfig,
+    scales, interior: int | None = None,
 ) -> list[np.ndarray]:
     """Brute-force e^(sG) Y e^(-sG) on the truncated Fock space, per scale s.
 
