@@ -461,9 +461,8 @@ def _diagonals(p: OperatorPolynomial, config: FockOracleConfig) -> dict[int, np.
 
 
 def fock_matrix(p: OperatorPolynomial, config: FockOracleConfig) -> np.ndarray:
-    """Dense matrix of P on the truncated multi-mode Fock space, written from
-    ``_diagonals``: each entry has the bits of the sum over terms of coeff * the
-    np.kron of dense matrix_power blocks, and only the output is dense."""
+    """Dense matrix of P on the truncated Fock space, from ``_diagonals``: each entry
+    has the bits of sum(coeff * np.kron of matrix_power blocks); nothing else is dense."""
     dim = config.dimension
     out = np.zeros((dim, dim), dtype=complex)
     for offset, weights in _diagonals(p, config).items():
@@ -557,12 +556,13 @@ def fock_adjoint_oracle_scan(
     g = _diagonals(0.5 * (generator - generator.dagger()), config)
     if not any(np.any(w.imag) for w in (*g.values(), *ym.values())):
         g, ym = ({d: w.real for d, w in m.items()} for m in (g, ym))
-    start = np.eye(dim if interior is None else interior)  # complex once G is
+    start = np.eye(dim if interior is None else interior)  # complex after a complex G
+    scales = [float(s) for s in scales]
     blocks, v, at = [None] * len(scales), start, 0.0
     # one sweep from the identity per sign of s, in order of |s|
     for i in sorted(range(len(scales)), key=lambda i: (scales[i] < 0, abs(scales[i]))):
         if scales[i] < 0 <= at:
             v, at = start, 0.0
-        v, at = _exp_action(g, dim, at - float(scales[i]), v), float(scales[i])
+        v, at = _exp_action(g, dim, at - scales[i], v), scales[i]
         blocks[i] = (v.conj().T @ _apply(ym, v, dim)[: len(v)]).astype(complex)
     return blocks
