@@ -127,9 +127,9 @@ class OperatorPolynomial:
     operators plus :meth:`dagger`.
 
     Operator products expand every term pair, so they are meant for
-    small-algebra checks and ``bch-check``; the lattice-sized pair energies
-    and field shifts of :mod:`dipolegauge.gauge_dipole` contract the c-number
-    A-E kernel instead.
+    small-algebra checks, ``bch-check`` and the Fock oracle; the lattice-sized
+    pair energies and field shifts of :mod:`dipolegauge.gauge_dipole` contract
+    the c-number A-E kernel instead.
     """
 
     __slots__ = ("_terms",)
@@ -298,7 +298,8 @@ def commutator(p: OperatorPolynomial, q: OperatorPolynomial) -> OperatorPolynomi
     never expanded.  The other pairs contribute only their contracted terms:
     the uncontracted term is the same monomial with weight 1 in PQ and in QP,
     so it cancels.  For two degree-1 polynomials over n channels this costs
-    O(n) rather than O(n^2); lattice-sized field shifts contract the A-E kernel.
+    O(n) rather than O(n^2), for small-algebra checks, ``bch-check`` and the
+    Fock oracle; lattice-sized field shifts contract the A-E kernel in gauge_dipole.
     """
     if p.is_zero or q.is_zero:
         return OperatorPolynomial.zero()
@@ -374,14 +375,19 @@ def time_derivative_conjugation(
     return y + 0.5 * _checked_inner(x, y)
 
 
-# largest truncated-Fock dimension, and largest |s| ||G|| the oracle propagates
-FOCK_DIM_CAP, FOCK_ACTION_CAP = 4096, 8192.0
+# largest dense dimension the truncated-Fock oracle will build
+FOCK_DIM_CAP = 4096
 
 
 @dataclass(frozen=True)
 class FockOracleConfig:
-    """Modes and per-mode truncations (one int for all) of the truncated-Fock
-    oracle; a dimension above ``FOCK_DIM_CAP`` raises OracleTooLargeError."""
+    """Mode list and per-mode truncations for the dense Fock-space oracle.
+
+    ``truncations`` may be given as a single int, applied to every mode.  The
+    product of truncations is the dense matrix dimension and must stay at or
+    below ``FOCK_DIM_CAP``; exceeding it raises OracleTooLargeError at
+    construction, before any allocation.
+    """
 
     modes: tuple[int, ...]
     truncations: tuple[int, ...]
@@ -394,18 +400,22 @@ class FockOracleConfig:
             raise ValueError(f"mode indices must be >= 0, got {modes}")
         if len(set(modes)) != len(modes):
             raise ValueError(f"duplicate mode indices: {modes}")
-        single = isinstance(self.truncations, (int, np.integer))
-        given = [self.truncations] * len(modes) if single else self.truncations
-        truncations = tuple(int(t) for t in given)
+        if isinstance(self.truncations, (int, np.integer)):
+            truncations = (int(self.truncations),) * len(modes)
+        else:
+            truncations = tuple(int(t) for t in self.truncations)
         if len(truncations) != len(modes):
-            raise ValueError(f"{len(modes)} modes but {len(truncations)} truncations")
+            raise ValueError(
+                f"{len(modes)} modes but {len(truncations)} truncations"
+            )
         if any(t < 2 for t in truncations):
             raise ValueError(f"every truncation must be >= 2, got {truncations}")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "truncations", truncations)
         if self.dimension > FOCK_DIM_CAP:
             raise OracleTooLargeError(
-                f"truncated-Fock dimension {self.dimension} exceeds the cap {FOCK_DIM_CAP}"
+                f"truncated-Fock dimension {self.dimension} exceeds the cap "
+                f"{FOCK_DIM_CAP}"
             )
 
     @property
@@ -438,22 +448,29 @@ def _lowering_power(truncation: int, power: int, transposed: bool = False) -> np
 def _diagonals(p: OperatorPolynomial, config: FockOracleConfig) -> dict[int, np.ndarray]:
     """P's truncated-Fock matrix as {offset row - col: weights}.
 
-    A monomial, a product over ``config.modes`` (listed order) of (a^dag)^c a^n,
-    sends per mode |k> to |k - n + c> with weight w_c[k - n + c] w_n[k]
-    (``_lowering_power``; 0 off the truncation), multiplied in np.kron's order,
-    so it fills the diagonal at offset sum (c - n) * stride.  Monomials sharing
-    an offset add in term order.  Weight j of offset d is column j + max(0, -d).
+    A monomial, a product over ``config.modes`` (in their listed order) of
+    (a^dag)^c a^n, sends per mode |k> to |k - n + c> with weight
+    w_c[k - n + c] w_n[k] (``_lowering_power``), and the modes' weights multiply
+    in np.kron's order, so it fills the diagonal at offset sum (c - n) * stride.
+    Monomials sharing an offset add in term order.  Weight j of offset d is
+    column j + max(0, -d).  P must touch only modes present in the config.
     """
-    if missing := sorted(set(p.modes()) - set(config.modes)):
-        raise ValueError(f"polynomial touches modes {missing} absent from {config.modes}")
+    missing = set(p.modes()) - set(config.modes)
+    if missing:
+        raise ValueError(
+            f"polynomial touches modes {sorted(missing)} absent from the "
+            f"oracle config {config.modes}"
+        )
     dim, out = config.dimension, {}
     for (cre, ann), coeff in p.terms.items():
         offset, weights = 0, np.ones(1)
         for mode, t in zip(config.modes, config.truncations):
             c, n = cre.count(mode), ann.count(mode)
+            # off the truncation a weight is 0: w_n[k] below n, the appended 0 above
             raised = np.append(_lowering_power(t, c, transposed=True), 0.0)
             local = raised.take(np.arange(t) - n + c, mode="clip") * _lowering_power(t, n)
-            offset, weights = offset * t + c - n, np.multiply.outer(weights, local).ravel()
+            offset = offset * t + c - n
+            weights = np.multiply.outer(weights, local).ravel()
         if abs(offset) < dim:
             diagonal = out.setdefault(offset, np.zeros(dim - abs(offset), dtype=complex))
             diagonal += coeff * weights[max(0, -offset) :][: len(diagonal)]
@@ -461,8 +478,13 @@ def _diagonals(p: OperatorPolynomial, config: FockOracleConfig) -> dict[int, np.
 
 
 def fock_matrix(p: OperatorPolynomial, config: FockOracleConfig) -> np.ndarray:
-    """Dense matrix of P on the truncated Fock space, from ``_diagonals``: each entry
-    has the bits of sum(coeff * np.kron of matrix_power blocks); nothing else is dense."""
+    """Dense matrix of P on the truncated multi-mode Fock space.
+
+    It is written diagonal by diagonal from ``_diagonals``, so every entry has
+    the bits of the sum over monomials of coeff times the Kronecker product of
+    dense matrix_power blocks, and nothing dense is allocated but the output.
+    P must touch only modes present in the config.
+    """
     dim = config.dimension
     out = np.zeros((dim, dim), dtype=complex)
     for offset, weights in _diagonals(p, config).items():
@@ -490,33 +512,36 @@ def _norm_bound(diagonals: dict[int, np.ndarray], dim: int) -> float:
     return math.sqrt(cols.max() * rows.max())
 
 
+# a Taylor step has ||t G|| <= _THETA and at most _TERMS terms: 4^40 / 40! < 2e-24,
+# and a step's rounding grows like e^4
+_THETA = 4.0
+_TERMS = 40
+
+
 def _exp_action(diagonals: dict[int, np.ndarray], dim: int, h: float, v: np.ndarray):
     """e^(hG) v for G's diagonals and v the first len(v) rows of a block.
 
     Taylor steps as in Al-Mohy & Higham, "Computing the action of the matrix
     exponential", SIAM J. Sci. Comput. 33, 488 (2011), each stopped once two
-    successive terms fall below 2^-53 of the sum.  A step of at most ``terms``
-    stays on the rows it can reach, so it takes G's leading block on them, with
-    its diagonal's mean mu applied apart as e^(t mu), and ||t G|| <= ``theta``.
+    successive terms fall below 2^-53 of the sum.  A step stays on the rows its
+    ``_TERMS`` terms can reach, so it takes G's leading block on them, with its
+    diagonal's mean mu applied apart as e^(t mu), and ||t G|| <= ``_THETA``.
     Unreached rows are never formed; the result ends at its last row above
     2^-106 of its largest entry.
     """
-    theta, terms = 4.0, 40  # 4^40 / 40! < 2e-24; a step's rounding grows like e^4
-    if not abs(h) * _norm_bound(diagonals, dim) <= FOCK_ACTION_CAP:
-        raise OracleTooLargeError(f"|h| {abs(h):g} times ||G|| exceeds {FOCK_ACTION_CAP:g}")
     reach, dtype = max([0, *diagonals]), np.result_type(v, *diagonals.values())
     while h:
-        span = min(dim, len(v) + terms * reach)
+        span = min(dim, len(v) + _TERMS * reach)
         lead = {d: w[: span - abs(d)] for d, w in diagonals.items() if abs(d) < span}
         mu = np.mean(lead.get(0, 0.0))
         lead = {d: w - mu if d == 0 else w for d, w in lead.items()}
         bound = _norm_bound(lead, span)
-        t = h if bound * abs(h) <= theta else math.copysign(theta / bound, h)
+        t = h if bound * abs(h) <= _THETA else math.copysign(_THETA / bound, h)
         h -= t
         total = np.zeros((span, v.shape[1]), dtype)
         total[: len(v)] = term = v
         last = np.max(np.abs(v))
-        for j in range(1, terms + 1):
+        for j in range(1, _TERMS + 1):
             term = _apply({d: w * (t / j) for d, w in lead.items()}, term, span)
             total[: len(term)] += term
             size = np.max(np.abs(term))
@@ -532,32 +557,48 @@ def _exp_action(diagonals: dict[int, np.ndarray], dim: int, h: float, v: np.ndar
 def fock_adjoint_oracle(
     x: OperatorPolynomial, y: OperatorPolynomial, config: FockOracleConfig
 ) -> np.ndarray:
-    """Brute-force e^X Y e^(-X), the scan at scale 1: compare an interior block only."""
+    """Brute-force e^X Y e^(-X): :func:`fock_adjoint_oracle_scan` at scale 1.
+
+    Trustworthy away from the truncation edge; compare an interior block only.
+    """
     return fock_adjoint_oracle_scan(x, y, config, [1.0])[0]
 
 
 def fock_adjoint_oracle_scan(
-    generator: OperatorPolynomial, y: OperatorPolynomial, config: FockOracleConfig,
-    scales, interior: int | None = None,
+    generator: OperatorPolynomial,
+    y: OperatorPolynomial,
+    config: FockOracleConfig,
+    scales,
+    interior: int | None = None,
 ) -> list[np.ndarray]:
     """Brute-force e^(sG) Y e^(-sG) on the truncated Fock space, per scale s.
 
-    G must be anti-Hermitian in its coefficient pattern; (G - G^dag) / 2 is used,
-    so a rounding-level defect enters through its mean, and U = e^(sG) has
-    U_I^dag = V = e^(-sG)[:, :interior] for its first ``interior`` rows (all
-    when None).  ``_exp_action`` carries V through the sorted scales, each
-    result is the complex V^dag (Y V), and G and Y act by diagonals, in real
-    arithmetic when both are real: no dim x dim array is formed unless
-    ``interior`` is None.  A scale gap over FOCK_ACTION_CAP / ||G|| raises.
+    G must be anti-Hermitian in its coefficient pattern, so that e^(-sG) is the
+    conjugate transpose of U = e^(sG) and the conjugation stays unitary;
+    (G - G^dag) / 2 is used, so a rounding-level defect enters through its mean.
+    Per scale the result is the dense complex U_I Y U_I^dag, U_I the first
+    ``interior`` rows of U (all when None).  ``_exp_action`` carries
+    V = U_I^dag = e^(-sG)[:, :interior] through the scales sorted by |s|, one
+    sweep from the identity per sign, and G and Y act by their diagonals, in
+    real arithmetic when both are real: no dim x dim array is formed unless
+    ``interior`` is None.  The sweeps' Taylor steps grow with |s| ||G||; when
+    they would outnumber the basis states, or a scale is not finite, G is
+    decomposed once by ``_eigh_scan`` instead, so every scale takes bounded time.
     """
     if not generator.is_anti_hermitian():
-        raise ValueError("oracle generator must have an anti-Hermitian coefficient pattern")
+        raise ValueError(
+            "oracle generator must have an anti-Hermitian coefficient pattern"
+        )
     dim, ym = config.dimension, _diagonals(y, config)
-    g = _diagonals(0.5 * (generator - generator.dagger()), config)
+    projected = 0.5 * (generator - generator.dagger())
+    g = _diagonals(projected, config)
     if not any(np.any(w.imag) for w in (*g.values(), *ym.values())):
         g, ym = ({d: w.real for d, w in m.items()} for m in (g, ym))
-    start = np.eye(dim if interior is None else interior)  # complex after a complex G
     scales = [float(s) for s in scales]
+    sweeps = max([0.0, *scales]) - min([0.0, *scales])
+    if not (all(map(math.isfinite, scales)) and sweeps * _norm_bound(g, dim) <= _THETA * dim):
+        return _eigh_scan(projected, ym, config, scales, interior)
+    start = np.eye(dim if interior is None else interior)  # complex after a complex G
     blocks, v, at = [None] * len(scales), start, 0.0
     # one sweep from the identity per sign of s, in order of |s|
     for i in sorted(range(len(scales)), key=lambda i: (scales[i] < 0, abs(scales[i]))):
@@ -565,4 +606,19 @@ def fock_adjoint_oracle_scan(
             v, at = start, 0.0
         v, at = _exp_action(g, dim, at - scales[i], v), scales[i]
         blocks[i] = (v.conj().T @ _apply(ym, v, dim)[: len(v)]).astype(complex)
+    return blocks
+
+
+def _eigh_scan(generator, ym, config, scales, interior):
+    """The scan's blocks from one ``eigh`` of the Hermitian -iG = W diag(w) W^dag:
+    U_I = W_I diag(e^(isw)) W^dag, and Y, given by its diagonals, acts on U_I^dag.
+    """
+    h = fock_matrix(generator, config)
+    h *= -1j  # eigh reads one triangle of it: G is anti-Hermitian up to rounding
+    w, v = np.linalg.eigh(h)
+    del h
+    blocks = []
+    for s in scales:
+        u = (v[:interior] * np.exp(1j * (s * w))) @ v.conj().T
+        blocks.append(u @ _apply(ym, u.conj().T, config.dimension))
     return blocks

@@ -325,24 +325,13 @@ def test_bch_xi_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
 
 
 def test_bch_huge_finite_xi_still_runs(tmp_path, capsys):
-    # a large xi below the oracle's cap runs; the truncation, not the cap or
-    # the float range, makes the row fail
-    cfg = bch_config(xi_values=[-500.0])
+    # a finite scaled spectrum runs; the truncation, not the float range,
+    # makes the row fail
+    cfg = bch_config(xi_values=[1e200])
     assert run(tmp_path, "bch-check", cfg, "--format", "csv") == 1
     (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
     assert row["passed"] == "false"
     assert math.isfinite(float(row["computed"]))
-
-
-@pytest.mark.parametrize("xi", [1e200, -916.0])
-def test_bch_xi_beyond_the_action_cap_is_a_config_error(tmp_path, capsys, xi):
-    # the oracle's Taylor steps grow with |xi| times the generator's norm,
-    # bounded by 2 sqrt(truncation); past FOCK_ACTION_CAP the key is named.
-    # At truncation 20 the cap admits |xi| up to 915.9
-    assert run(tmp_path, "bch-check", bch_config(xi_values=[0.3, xi])) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err
-    assert "xi_values[1]" in err and "cap" in err
 
 
 @pytest.mark.parametrize("height", [1e150, 1e200])
