@@ -11,7 +11,8 @@ result depend on the scale of the coefficients.
 Two closed-form conjugation identities are provided for generator pairs whose
 commutator is central, with a truncated-Fock oracle that checks them by numerical
 exponentiation: it keeps each operator as the diagonals of its Fock matrix and
-carries interior columns of e^(-sG) by Taylor steps, forming no dense matrix.
+carries interior columns of e^(-sG) by Taylor steps, forming no dense matrix;
+only a scale too long for Taylor steps takes one ``eigh`` of G's dense matrix.
 """
 
 from __future__ import annotations
@@ -512,36 +513,31 @@ def _norm_bound(diagonals: dict[int, np.ndarray], dim: int) -> float:
     return math.sqrt(cols.max() * rows.max())
 
 
-# a Taylor step has ||t G|| <= _THETA and at most _TERMS terms: 4^40 / 40! < 2e-24,
-# and a step's rounding grows like e^4
-_THETA = 4.0
-_TERMS = 40
-
-
 def _exp_action(diagonals: dict[int, np.ndarray], dim: int, h: float, v: np.ndarray):
     """e^(hG) v for G's diagonals and v the first len(v) rows of a block.
 
     Taylor steps as in Al-Mohy & Higham, "Computing the action of the matrix
     exponential", SIAM J. Sci. Comput. 33, 488 (2011), each stopped once two
-    successive terms fall below 2^-53 of the sum.  A step stays on the rows its
-    ``_TERMS`` terms can reach, so it takes G's leading block on them, with its
-    diagonal's mean mu applied apart as e^(t mu), and ||t G|| <= ``_THETA``.
+    successive terms fall below 2^-53 of the sum.  A step of at most ``terms``
+    stays on the rows it can reach, so it takes G's leading block on them, with
+    its diagonal's mean mu applied apart as e^(t mu), and ||t G|| <= ``theta``.
     Unreached rows are never formed; the result ends at its last row above
     2^-106 of its largest entry.
     """
+    theta, terms = 4.0, 40  # 4^40 / 40! < 2e-24; a step's rounding grows like e^4
     reach, dtype = max([0, *diagonals]), np.result_type(v, *diagonals.values())
     while h:
-        span = min(dim, len(v) + _TERMS * reach)
+        span = min(dim, len(v) + terms * reach)
         lead = {d: w[: span - abs(d)] for d, w in diagonals.items() if abs(d) < span}
         mu = np.mean(lead.get(0, 0.0))
         lead = {d: w - mu if d == 0 else w for d, w in lead.items()}
         bound = _norm_bound(lead, span)
-        t = h if bound * abs(h) <= _THETA else math.copysign(_THETA / bound, h)
+        t = h if bound * abs(h) <= theta else math.copysign(theta / bound, h)
         h -= t
         total = np.zeros((span, v.shape[1]), dtype)
         total[: len(v)] = term = v
         last = np.max(np.abs(v))
-        for j in range(1, _TERMS + 1):
+        for j in range(1, terms + 1):
             term = _apply({d: w * (t / j) for d, w in lead.items()}, term, span)
             total[: len(term)] += term
             size = np.max(np.abs(term))
@@ -582,8 +578,9 @@ def fock_adjoint_oracle_scan(
     sweep from the identity per sign, and G and Y act by their diagonals, in
     real arithmetic when both are real: no dim x dim array is formed unless
     ``interior`` is None.  The sweeps' Taylor steps grow with |s| ||G||; when
-    they would outnumber the basis states, or a scale is not finite, G is
-    decomposed once by ``_eigh_scan`` instead, so every scale takes bounded time.
+    they would outnumber half the basis states, where one dense ``eigh`` is as
+    fast, or a scale is not finite, one ``eigh`` of G's matrix serves the run
+    instead, so every scale takes bounded time.
     """
     if not generator.is_anti_hermitian():
         raise ValueError(
@@ -594,31 +591,29 @@ def fock_adjoint_oracle_scan(
     g = _diagonals(projected, config)
     if not any(np.any(w.imag) for w in (*g.values(), *ym.values())):
         g, ym = ({d: w.real for d, w in m.items()} for m in (g, ym))
+
+    def conjugate(v):  # V^dag (Y V), V given by its first len(v) rows
+        return (v.conj().T @ _apply(ym, v, dim)[: len(v)]).astype(complex)
+
     scales = [float(s) for s in scales]
+    blocks = [None] * len(scales)
     sweeps = max([0.0, *scales]) - min([0.0, *scales])
-    if not (all(map(math.isfinite, scales)) and sweeps * _norm_bound(g, dim) <= _THETA * dim):
-        return _eigh_scan(projected, ym, config, scales, interior)
+    if not (all(map(math.isfinite, scales)) and sweeps * _norm_bound(g, dim) <= 2 * dim):
+        # -iG = W diag(w) W^dag, so V = W diag(e^(-isw)) W_I^dag; eigh reads one
+        # triangle, and G's matrix is anti-Hermitian up to rounding
+        h = fock_matrix(projected, config)
+        h *= -1j
+        w, u = np.linalg.eigh(h)
+        del h
+        for i, s in enumerate(scales):
+            blocks[i] = conjugate((u * np.exp(-1j * (s * w))) @ u[:interior].conj().T)
+        return blocks
     start = np.eye(dim if interior is None else interior)  # complex after a complex G
-    blocks, v, at = [None] * len(scales), start, 0.0
+    v, at = start, 0.0
     # one sweep from the identity per sign of s, in order of |s|
     for i in sorted(range(len(scales)), key=lambda i: (scales[i] < 0, abs(scales[i]))):
         if scales[i] < 0 <= at:
             v, at = start, 0.0
         v, at = _exp_action(g, dim, at - scales[i], v), scales[i]
-        blocks[i] = (v.conj().T @ _apply(ym, v, dim)[: len(v)]).astype(complex)
-    return blocks
-
-
-def _eigh_scan(generator, ym, config, scales, interior):
-    """The scan's blocks from one ``eigh`` of the Hermitian -iG = W diag(w) W^dag:
-    U_I = W_I diag(e^(isw)) W^dag, and Y, given by its diagonals, acts on U_I^dag.
-    """
-    h = fock_matrix(generator, config)
-    h *= -1j  # eigh reads one triangle of it: G is anti-Hermitian up to rounding
-    w, v = np.linalg.eigh(h)
-    del h
-    blocks = []
-    for s in scales:
-        u = (v[:interior] * np.exp(1j * (s * w))) @ v.conj().T
-        blocks.append(u @ _apply(ym, u.conj().T, config.dimension))
+        blocks[i] = conjugate(v)
     return blocks

@@ -551,9 +551,9 @@ def test_oracle_scan_takes_scales_in_any_order_and_sign():
         assert np.max(np.abs(block - interior(full, 10))) <= 1e-13 * y_norm
 
 
-def test_oracle_scan_decomposes_once_past_dim_taylor_steps(monkeypatch):
+def test_oracle_scan_decomposes_once_for_long_sweeps(monkeypatch):
     # Taylor steps grow with |s| ||G||: when the sweeps would take more steps
-    # than there are basis states, or a scale is not finite, one eigh of the
+    # than half the basis states, or a scale is not finite, one eigh of the
     # dense generator serves every scale and the action is never taken
     from scipy.linalg import expm
 
