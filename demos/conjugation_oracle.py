@@ -10,11 +10,12 @@ and the corresponding flow-averaged identity carries half that weight:
 
 Both identities are exact statements of the operator algebra.  This script
 verifies the first one numerically on a truncated Fock space and prints the
-half-weight contrast of the second.  The oracle never forms a dense matrix:
-each operator is kept as the diagonals of its Fock matrix (a monomial
+half-weight contrast of the second.  At these xi the oracle forms no dense
+matrix: each operator is kept as the diagonals of its Fock matrix (a monomial
 (a^dag)^c a^n fills one diagonal), and the interior columns of e^(-xi G)
 are carried from one xi to the next by truncated Taylor steps, so one pass
-through the sorted xi values serves them all.
+through the sorted xi values serves them all.  Only an xi so large that the
+steps would outnumber half the basis states takes one dense eigh instead.
 """
 
 import numpy as np
