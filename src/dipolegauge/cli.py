@@ -460,10 +460,10 @@ def _check_field_shift(cfg: dict) -> None:
         cfg["sigma"] = _default_sigma(cfg["sigma"], gaps, cfg["lattice"]["box_length"])
 
 
-def _cube_overflows(vertex: list, point: list) -> bool:
-    """Whether |vertex - point|^3, as the Coulomb kernels form it, overflows."""
+def _cube_overflows(distance: float) -> bool:
+    """Whether distance**3, as the quadrature's kernel forms it, overflows."""
     try:
-        return not math.isfinite(math.hypot(*(v - p for v, p in zip(vertex, point))) ** 3)
+        return not math.isfinite(distance**3)
     except OverflowError:
         return True
 
@@ -471,33 +471,40 @@ def _cube_overflows(vertex: list, point: list) -> bool:
 def _check_coulomb_path(cfg: dict) -> None:
     """Also resolves ``path_pairs`` to the explicit list, all pairs by default.
 
-    Every distance from a field point that the route cubes must stay finite:
-    the largest is at a path vertex, the origin included.  A reference path's
-    farthest vertex is its far endpoint -endpoint_factor * r.
+    The routes square each field point's |r| and divide by it, so |r|^2 must
+    be a normal float.  Everything else runs in units of |r|, where the
+    quadrature's kernel cubes each distance it meets, the largest being a
+    path vertex's: (|vertex - r| / |r|)^3 must stay finite.  A reference
+    path's farthest vertex is its far endpoint -endpoint_factor * r, at
+    endpoint_factor + 1 in units of |r|.
     """
     paths, pairs = cfg["charge_paths"], cfg["path_pairs"]
     points = [point.tolist() for point in cfg["field_points"]]
     for i, point in enumerate(points):
-        far = [0.0] * 3 if paths is not None else [-cfg["endpoint_factor"] * x for x in point]
-        if _cube_overflows(far, point):
-            raise ConfigError(
-                f"field_points[{i}]: the cube of its distance to the path "
-                "overflows the float range"
-            )
-        if float(np.linalg.norm(point)) == 0.0:
+        if not any(point):
             raise ConfigError(f"field_points[{i}] must not be the origin")
+        square = sum(x * x for x in point)
+        if not sys.float_info.min <= square < math.inf:
+            flow = "underflows" if square < 1.0 else "overflows"
+            raise ConfigError(f"field_points[{i}]: its squared length {flow} the float range")
     if paths is None:
+        if _cube_overflows(cfg["endpoint_factor"] + 1.0):
+            raise ConfigError(
+                "endpoint_factor: the cube of the far endpoint's distance from a field "
+                "point, in units of the point's |r|, overflows the float range"
+            )
         if pairs is not None:
             raise ConfigError("path_pairs requires an explicit charge_paths list")
         return
     for p, path in enumerate(paths):
         for k, vertex in enumerate(path.vertices.tolist()):
             for i, point in enumerate(points):
-                if _cube_overflows(vertex, point):
+                gap = math.hypot(*(v - x for v, x in zip(vertex, point)))
+                if _cube_overflows(gap / math.hypot(*point)):
                     raise ConfigError(
                         f"charge_paths[{p}].vertices[{k}] is too far from "
-                        f"field_points[{i}]: the cube of their distance "
-                        "overflows the float range"
+                        f"field_points[{i}]: the cube of their distance in units "
+                        "of the point's |r| overflows the float range"
                     )
     if pairs is None:
         pairs = [[a, b] for a in range(len(paths)) for b in range(a + 1, len(paths))]

@@ -334,18 +334,49 @@ def test_bch_huge_finite_xi_still_runs(tmp_path, capsys):
     assert math.isfinite(float(row["computed"]))
 
 
-@pytest.mark.parametrize("height", [1e150, 1e200])
+@pytest.mark.parametrize("height", [1e155, 1e200])
 def test_cp_field_point_beyond_the_float_range_is_a_config_error(
     tmp_path, capsys, height
 ):
-    # the reference paths run out to -200 r, and the kernel cubes that
-    # distance: at 1e150 the cube overflowed with a traceback, at 1e200 the
-    # squared norm did and the residual printed nan
+    # the routes square |r|: beyond about 1.3e154 that overflows, and the
+    # residual printed nan
     cfg = {"schema_version": 1, "field_points": [[0, 0, 1.0], [0, 0, height]]}
     assert run(tmp_path, "coulomb-path", cfg) == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    assert "field_points[1]" in err
+    assert "field_points[1]: its squared length overflows the float range" in err
+
+
+@pytest.mark.parametrize("height", [1e-170, 1e-154])
+def test_cp_tiny_field_point_is_a_config_error_not_the_origin(tmp_path, capsys, height):
+    # |r|^2 underflows below the normal range: 0 at 1e-170, which the origin
+    # check once reported as the origin, and a subnormal at 1e-154
+    cfg = {"schema_version": 1, "field_points": [[0, 0, height]]}
+    assert run(tmp_path, "coulomb-path", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field_points[0]: its squared length underflows")
+    assert "origin" not in err
+
+
+@pytest.mark.parametrize("height", [1e-110, 1e-150, 1e150])
+def test_cp_extreme_field_points_give_finite_passing_rows(tmp_path, capsys, height):
+    # the Coulomb field and the endpoint formula divide by |r| three times
+    # instead of cubing it, which underflowed (nan rows) at 1e-110 and 1e-150
+    # and overflowed (a config error) at 1e150
+    cfg = {"schema_version": 1, "field_points": [[0, 0, height]]}
+    assert run(tmp_path, "coulomb-path", cfg, "--format", "csv") == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 3
+    assert all(math.isfinite(float(row["computed"])) for row in rows)
+    assert all(row["passed"] == "true" for row in rows)
+
+
+def test_cp_endpoint_factor_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    # the quadrature, in units of |r|, cubes the far endpoint's distance
+    # endpoint_factor + 1, whatever the point
+    cfg = {"schema_version": 1, "field_points": [[0, 0, 1e-3]], "endpoint_factor": 1e103}
+    assert run(tmp_path, "coulomb-path", cfg) == 2
+    assert capsys.readouterr().err.startswith("config error: endpoint_factor: ")
 
 
 def test_cp_far_field_point_gives_finite_passing_rows(tmp_path, capsys):

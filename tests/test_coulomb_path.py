@@ -1,3 +1,8 @@
+import importlib.util
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +25,7 @@ from dipolegauge import (
 )
 
 R_PROBE = np.array([0.6, -0.8, 1.2])
+REPO = Path(__file__).resolve().parents[1]
 
 
 # --- path construction ------------------------------------------------------
@@ -146,10 +152,28 @@ def test_quad_matches_endpoint_formula():
         assert np.linalg.norm(quad - closed) < 1e-12 * scale
 
 
-def _quad_vec_line_integral(path, r, epsrel):
-    # the line integral as computed with scipy's quad_vec, one scalar node per
-    # kernel call, segment by segment in path order, in units of |r| as the
-    # library integrates it (the result is |r|^-2 times the scaled integral)
+def _clearance(path, r):
+    # the path's least distance from r
+    starts, segs = path.vertices[:-1], np.diff(path.vertices, axis=0)
+    t = np.clip(np.vecdot(r - starts, segs) / np.vecdot(segs, segs), 0.0, 1.0)
+    return np.min(np.linalg.norm(starts + t[:, None] * segs - r, axis=1))
+
+
+def _rounding_unit(path, r):
+    # the integrand peaks near |q| / (4 pi eps0 d^2) at the path's least
+    # distance d from r, and the integral is a sum of such terms that cancel
+    # down to the endpoint values, so any quadrature of the kernel along the
+    # path is off by some multiple of eps times that peak
+    return EPS * abs(path.charge) / (4.0 * np.pi) / _clearance(path, r) ** 2
+
+
+EPS = np.finfo(float).eps
+
+
+def _quad_vec_line_integral(path, r):
+    # the line integral by scipy's adaptive quad_vec at epsrel 1e-12, one
+    # scalar node per kernel call, segment by segment in path order, in units
+    # of |r| as the library integrates it
     from scipy.integrate import quad_vec
 
     dist = np.linalg.norm(r)
@@ -162,16 +186,15 @@ def _quad_vec_line_integral(path, r, epsrel):
         def integrand(u, a=a, seg=seg):
             return _single_row_kernel(a + u * seg - r_scaled) @ seg
 
-        value, _ = quad_vec(integrand, 0.0, 1.0, epsrel=epsrel, epsabs=1e-14)
+        value, _ = quad_vec(integrand, 0.0, 1.0, epsrel=1e-12, epsabs=0.0)
         total += value
     return -path.charge / (4.0 * np.pi * UnitSystem().epsilon0) * (total / dist / dist)
 
 
-@pytest.mark.parametrize("epsrel", [1e-6, 1e-9, 1e-12, 1e-16])
-def test_quadrature_equals_quad_vec_bit_for_bit(epsrel, monkeypatch):
-    # clearances 1e-3..1 and lengths 0.05..200; epsrel = 1e-16 ends by the
-    # rounding-error stop rather than the tolerance
-    rng = np.random.default_rng(int(-np.log10(epsrel)))
+def _quadrature_cases(seed):
+    # segments passing their field point at 1e-3..1 with lengths 0.05..200,
+    # both reference paths, and a three-leg path
+    rng = np.random.default_rng(seed)
     cases = []
     for _ in range(4):
         length = 10.0 ** rng.uniform(np.log10(0.05), np.log10(200.0))
@@ -189,19 +212,116 @@ def test_quadrature_equals_quad_vec_bit_for_bit(epsrel, monkeypatch):
     corners = np.vstack([np.zeros(3), rng.uniform(-3.0, 3.0, size=(3, 3))])
     r = rng.uniform(-3.0, 3.0, size=3)
     cases.append((ChargePath(vertices=corners, charge=2.5), r))
-    expected = [_quad_vec_line_integral(path, r, epsrel) for path, r in cases]
-    for (path, r), want in zip(cases, expected):
-        computed = commutator_line_integral(path, r, quad_epsrel=epsrel)
-        assert np.array_equal(computed, want)
-    # all cases in one batch, every segment integral advancing in lockstep,
-    # with each round's subintervals in one kernel call and in calls of 5
-    for rows in (None, 5):
-        if rows is not None:
-            monkeypatch.setattr(coulomb_path, "_QUAD_ROWS", rows)
-        batch = commutator_line_integrals(cases, quad_epsrel=epsrel)
+    return cases
+
+
+def test_quadrature_matches_quad_vec_and_endpoint_formula(monkeypatch):
+    # bounds in units of _rounding_unit: the rule measured at most 12 from
+    # the endpoint formula and quad_vec at most 412, on near pass-bys
+    cases = [case for seed in range(4) for case in _quadrature_cases(seed)]
+    singles = [commutator_line_integral(path, r) for path, r in cases]
+    for (path, r), computed in zip(cases, singles):
+        unit = _rounding_unit(path, r)
+        closed = line_integral_endpoint(path, r)
+        assert np.max(np.abs(computed - closed)) <= 64 * unit
+        assert np.max(np.abs(computed - _quad_vec_line_integral(path, r))) <= 1024 * unit
+    # the batch gives each job's bits, whichever segments share a kernel call
+    for block in (None, 3):
+        if block is not None:
+            monkeypatch.setattr(coulomb_path, "_BLOCK", block)
+        batch = commutator_line_integrals(cases)
         assert len(batch) == len(cases)
-        for computed, want in zip(batch, expected):
-            assert np.array_equal(computed, want)
+        for computed, single in zip(batch, singles):
+            assert np.array_equal(computed, single)
+
+
+# (foot, segment length) for the foot of r on the segment's line before the
+# segment, after it, inside it and exactly at each end
+SWEEP_FEET = {
+    "before": (-1.5, 199.5),
+    "after": (201.0, 199.5),
+    "inside": (3.0, 10.0),
+    "at-start": (0.0, 10.0),
+    "at-end": (10.0, 10.0),
+}
+SWEEP = [
+    (place, height)
+    for place, (foot, length) in SWEEP_FEET.items()
+    for height in [0.0, 1e-12, 1e-6, 1e-3, 0.1, 1.0]
+    # h = 0 with the foot on the segment runs the path through r
+    if height > 0.0 or not 0.0 <= foot <= length
+]
+
+
+@pytest.mark.parametrize("place, height", SWEEP, ids=[f"{p}-h{h:g}" for p, h in SWEEP])
+def test_rule_across_the_closest_approach(place, height):
+    # the segment from the origin to (0, 0, length) and r = (height, 0, foot):
+    # the foot of r on the segment's line is (0, 0, foot), at h = height, so
+    # h / |rho| runs from exactly radial (h = 0) to 1.  A foot on the segment
+    # takes the angle variable, one off it the sinh map, a log map at h = 0.
+    # Measured in _rounding_unit: at most 94 (after, h = 0.1), and 2.1e-14
+    # of the value off the segment or at its ends.  With the foot inside,
+    # the unit grows like 1 / h^2 whatever the route: 2.5e-3 of the value at
+    # h = 1e-6, where the integrand peaks near 1e12 times it
+    foot, length = SWEEP_FEET[place]
+    r = np.array([height, 0.0, foot])
+    path = ChargePath(vertices=[[0.0, 0.0, 0.0], [0.0, 0.0, length]], charge=1.3)
+    computed = commutator_line_integral(path, r, exclusion_radius=0.5 * height or None)
+    closed = line_integral_endpoint(path, r)
+    deviation = np.max(np.abs(computed - closed))
+    assert deviation <= 256 * _rounding_unit(path, r)
+    if place != "inside":
+        assert deviation <= 1e-13 * np.max(np.abs(closed))
+
+
+def test_quadrature_never_calls_the_endpoint_formula(monkeypatch):
+    # the route stays independent of the antiderivative it is checked by
+    def forbidden(*args, **kwargs):
+        raise AssertionError("line_integral_endpoint called")
+
+    cases = _quadrature_cases(0)
+    expected = [line_integral_endpoint(path, r) for path, r in cases]
+    monkeypatch.setattr(coulomb_path, "line_integral_endpoint", forbidden)
+    for (path, r), computed, closed in zip(cases, commutator_line_integrals(cases), expected):
+        assert np.max(np.abs(computed - closed)) <= 64 * _rounding_unit(path, r)
+
+
+def _oracle_mix_coulomb_jobs(monkeypatch, seed):
+    # the (path, point) jobs of the coulomb-path run in the benchmark's
+    # oracle-mix workload, in the order the CLI batches them
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", REPO / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file executes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    (cfg,) = [
+        inv.config for inv in workloads.generate("oracle-mix", seed)
+        if inv.command == "coulomb-path"
+    ]
+    paths = [ChargePath(vertices=p["vertices"], charge=1.0) for p in cfg["charge_paths"]]
+    points = [np.array(point) for point in cfg["field_points"]]
+    return [(path, point) for path in paths for point in points], cfg["exclusion_radius"]
+
+
+def test_oracle_mix_batch_peak_memory(monkeypatch):
+    # 72 jobs, 240 segments: the adaptive loop this rule replaced peaked at
+    # 3.06 MiB here, the rule at 0.46 MiB, its kernel called on 32 segments
+    # at a time
+    jobs, radius = _oracle_mix_coulomb_jobs(monkeypatch, 0)
+    assert sum(path.num_segments for path, _ in jobs) == 240
+    commutator_line_integrals(jobs, exclusion_radius=radius)  # loads the rule's nodes
+    tracemalloc.start()
+    try:
+        values = commutator_line_integrals(jobs, exclusion_radius=radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    for (path, r), computed in zip(jobs, values):
+        closed = line_integral_endpoint(path, r)
+        assert np.max(np.abs(computed - closed)) <= 1e-13 * np.linalg.norm(coulomb_field(r, 1.0))
 
 
 def test_recovery_of_coulomb_field():
