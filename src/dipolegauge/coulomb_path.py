@@ -11,17 +11,11 @@ like one over the endpoint distance squared.
 
 Both evaluation routes are provided: quadrature of the kernel along the
 polyline, and the exact endpoint antiderivative that serves as its test
-oracle.  The quadrature is one fixed Gauss-Legendre rule per segment, in a
-variable chosen about the segment's closest point to the field point, at
-distance h.  When that point lies in the segment, the angle theta with
-tau = h tan(theta) along the segment makes the integrand a trigonometric
-polynomial of degree 3.  Otherwise a sinh map about the closest point,
-tau = h sinh(v) (Johnston & Elliott, IJNME 62, 564 (2005)), which is a log
-map in |tau| when h = 0, makes the integrand smooth however close the
-segment's line passes.  The rule has no tolerance and no stop, so it is
-scale-free; each job is integrated in units of its |r|.  All functions are
-pure; segment integrals are summed in path order, so results are
-deterministic.
+oracle.  The quadrature is one fixed Gauss-Legendre rule per segment, in the
+angle seen from the field point or in a sinh map about the segment's
+closest point to it (``_segment_integrals``).  It has no tolerance and no
+stop, so it is scale-free.  All functions are pure; segment integrals are
+summed in path order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -341,8 +335,7 @@ def line_integral_endpoint(
     polyline contributes F(last vertex) - F(origin) with
     F(s) = (s - r) / |s - r|^3.  This closed form is the oracle against which
     the quadrature route is tested.  F is formed in units of |r|, as the
-    quadrature works, and by three divisions rather than a cube, so only
-    the distances the quadrature meets are squared.
+    quadrature works, dividing by |rho| three times rather than cubing it.
     """
     r = as_vec3(r, "r")
     dist = _separation(r, "field point must be away from the origin")

@@ -482,6 +482,34 @@ def test_zero_charge_job_checked_before_quadrature(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ([0.0, 0.0, 0.0], DegenerateSeparationError),
+        ([np.nan, 0.0, 1.0], ValueError),
+        (2.0 * R_PROBE, PathSingularityError),
+    ],
+    ids=["origin", "malformed", "on-path"],
+)
+def test_first_invalid_job_raises(bad, error):
+    # the jobs are checked in one pass, but the first invalid job still
+    # raises: a job at the origin, a malformed point or a path through r
+    # ahead of a job whose segment 1 is too close, and not behind it
+    r = np.array([0.0, 0.0, 2.0])
+    close = ChargePath(vertices=[[0, 0, 0], [1, 0, 0], [1, 0, 4]], charge=1.0)
+    through = ChargePath(vertices=[[0, 0, 0], 4.0 * R_PROBE], charge=1.0)
+    good = straight_path(R_PROBE, endpoint_factor=50.0)
+    path = through if error is PathSingularityError else good
+    jobs = [(good, R_PROBE), (path, bad), (close, r)]
+    with pytest.raises(error) as excinfo:
+        commutator_line_integrals(jobs, exclusion_radius=1.0)
+    if error is PathSingularityError:
+        assert excinfo.value.segment_index == 0
+    with pytest.raises(PathSingularityError, match="segment 1 passes within 1.000e[+]00 ") as excinfo:
+        commutator_line_integrals([jobs[0], jobs[2], jobs[1]], exclusion_radius=1.0)
+    assert excinfo.value.segment_index == 1
+
+
 # --- consistency with the dipole field --------------------------------------
 
 
