@@ -46,7 +46,7 @@ def main():
     path = straight_path(r, endpoint_factor=200.0)
     quad = commutator_line_integral(path, r)
     exact = line_integral_endpoint(path, r)
-    print(f"adaptive quadrature vs endpoint formula: "
+    print(f"Gauss-Legendre rule vs endpoint formula: "
           f"max dev {np.max(np.abs(quad - exact)):.3e}")
 
     # interior independence: straight vs staircase with shared endpoints
