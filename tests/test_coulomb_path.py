@@ -152,6 +152,9 @@ def test_quad_matches_endpoint_formula():
         assert np.linalg.norm(quad - closed) < 1e-12 * scale
 
 
+EPS = np.finfo(float).eps
+
+
 def _clearance(path, r):
     # the path's least distance from r
     starts, segs = path.vertices[:-1], np.diff(path.vertices, axis=0)
@@ -165,9 +168,6 @@ def _rounding_unit(path, r):
     # down to the endpoint values, so any quadrature of the kernel along the
     # path is off by some multiple of eps times that peak
     return EPS * abs(path.charge) / (4.0 * np.pi) / _clearance(path, r) ** 2
-
-
-EPS = np.finfo(float).eps
 
 
 def _quad_vec_line_integral(path, r):
