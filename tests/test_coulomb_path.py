@@ -215,10 +215,12 @@ def _quadrature_cases(seed):
     return cases
 
 
-def test_quadrature_matches_quad_vec_and_endpoint_formula(monkeypatch):
-    # bounds in units of _rounding_unit: the rule measured at most 12 from
-    # the endpoint formula and quad_vec at most 412, on near pass-bys
-    cases = [case for seed in range(4) for case in _quadrature_cases(seed)]
+@pytest.mark.parametrize("seed", range(4))
+def test_quadrature_matches_quad_vec_and_endpoint_formula(seed, monkeypatch):
+    # bounds in units of _rounding_unit: over seeds 0..3 the rule measured at
+    # most 12 from the endpoint formula and quad_vec at most 412, on near
+    # pass-bys
+    cases = _quadrature_cases(seed)
     singles = [commutator_line_integral(path, r) for path, r in cases]
     for (path, r), computed in zip(cases, singles):
         unit = _rounding_unit(path, r)
